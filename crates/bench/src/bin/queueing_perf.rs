@@ -134,25 +134,32 @@ fn time_run<F: Fn() -> (u64, usize, usize)>(iters: usize, run: F) -> (u64, usize
     (out.0, out.1, out.2, best)
 }
 
+/// A binary-alphabet workload generated up front and fed as an
+/// explicit pair list, so the timed runs exclude pair generation.
+fn pregenerated(pattern: TrafficPattern, n: u64, packets: usize, seed: u64) -> WorkloadSource {
+    WorkloadSource::from_pairs(generate_workload(pattern, n, 2, packets, seed))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn measure(
     name: &str,
     b: DeBruijn,
     engine: &QueueingEngine,
     router: &dyn Router,
-    workload: &[(u64, u64)],
+    source: &WorkloadSource,
     config: QueueConfig,
     offered: f64,
     with_reference: bool,
 ) -> ScenarioResult {
     let (cycles, delivered, dropped, elapsed) = time_run(3, || {
-        let report = engine.run(router, workload, offered);
+        let report = engine.run_streamed_classified(router, source, offered, None);
         (report.cycles, report.delivered, report.dropped())
     });
     let reference_cycles_per_s = with_reference.then(|| {
         let reference = ReferenceEngine::from_family(&b, config);
+        let workload = source.materialize();
         let (ref_cycles, _, _, ref_elapsed) = time_run(3, || {
-            let report = reference.run(router, workload, offered);
+            let report = reference.run(router, &workload, offered);
             (report.cycles, report.delivered, report.dropped())
         });
         ref_cycles as f64 / ref_elapsed
@@ -163,7 +170,7 @@ fn measure(
         name,
         b.node_count(),
         engine.link_count(),
-        workload.len(),
+        source.len(),
         cycles,
         delivered,
         dropped,
@@ -207,7 +214,7 @@ fn measure_decade(name: &str, dd: u32, packets: usize) -> ScenarioResult {
     let router = DeBruijnRouter::new(b);
     let iters = if packets >= 1_000_000 { 2 } else { 3 };
     let (cycles, delivered, dropped, elapsed) = time_run(iters, || {
-        let report = engine.run_streamed(&router, &source, load * n as f64);
+        let report = engine.run_streamed_classified(&router, &source, load * n as f64, None);
         assert!(report.conserves_packets(), "conservation broke at {name}");
         (report.cycles, report.delivered, report.dropped())
     });
@@ -288,7 +295,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
         "hotspot_B_2_8_oblivious_backpressure" => {
             let b = DeBruijn::new(2, 8);
             let n = b.node_count();
-            let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 100_000, 0x0715);
+            let source = pregenerated(TrafficPattern::Hotspot, n, 100_000, 0x0715);
             let config = b8_hotspot_config;
             let engine = QueueingEngine::from_family(&b, config);
             Some(measure(
@@ -296,7 +303,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 b,
                 &engine,
                 &DeBruijnRouter::new(b),
-                &workload,
+                &source,
                 config,
                 0.3 * n as f64,
                 false,
@@ -310,7 +317,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
         "hotspot_B_2_8_lossless_vcs2_backpressure" => {
             let b = DeBruijn::new(2, 8);
             let n = b.node_count();
-            let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 100_000, 0x0715);
+            let source = pregenerated(TrafficPattern::Hotspot, n, 100_000, 0x0715);
             let config = QueueConfig {
                 vcs: 2,
                 max_cycles: 1_000_000,
@@ -322,7 +329,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 b,
                 &engine,
                 &DeBruijnRouter::new(b),
-                &workload,
+                &source,
                 config,
                 0.3 * n as f64,
                 true,
@@ -331,7 +338,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
         "hotspot_B_2_8_adaptive_backpressure" => {
             let b = DeBruijn::new(2, 8);
             let n = b.node_count();
-            let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 100_000, 0x0715);
+            let source = pregenerated(TrafficPattern::Hotspot, n, 100_000, 0x0715);
             let config = b8_hotspot_config;
             let engine = QueueingEngine::from_family(&b, config);
             let adaptive =
@@ -341,7 +348,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 b,
                 &engine,
                 &adaptive,
-                &workload,
+                &source,
                 config,
                 0.3 * n as f64,
                 false,
@@ -396,7 +403,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
         "hotspot_B_2_14_1M_compressed_taildrop" => {
             let b = DeBruijn::new(2, 14);
             let n = b.node_count();
-            let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 1_000_000, 14);
+            let source = pregenerated(TrafficPattern::Hotspot, n, 1_000_000, 14);
             let table = RoutingTable::from_debruijn(&b);
             assert!(table.is_compressed());
             let config = QueueConfig {
@@ -414,7 +421,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 b,
                 &engine,
                 &table,
-                &workload,
+                &source,
                 config,
                 0.2 * n as f64,
                 false,
@@ -435,7 +442,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let b = DeBruijn::new(2, 14);
             let n = b.node_count();
             let g = b.digraph();
-            let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 1_000_000, 14);
+            let source = pregenerated(TrafficPattern::Hotspot, n, 1_000_000, 14);
             let config = QueueConfig {
                 buffers: 16,
                 wavelengths: 1,
@@ -446,15 +453,18 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 drain_threads: 0,
             };
             let mut engine = QueueingEngine::new(g.clone(), config);
-            engine.set_dynamics(
-                "fade@60:4096>8192:0:120,storm@120:0-15:150,randfades@14:12:250:100"
-                    .parse()
-                    .expect("valid dynamics spec"),
-                StrandedPolicy::Reinject,
-            );
+            engine
+                .try_set_dynamics_relabeled(
+                    "fade@60:4096>8192:0:120,storm@120:0-15:150,randfades@14:12:250:100"
+                        .parse()
+                        .expect("valid dynamics spec"),
+                    StrandedPolicy::Reinject,
+                    None,
+                )
+                .expect("the timeline compiles against B(2,14)");
             let router = DynamicRoutingTable::new(&g);
             let (cycles, delivered, dropped, elapsed) = time_run(2, || {
-                let report = engine.run(&router, &workload, 0.2 * n as f64);
+                let report = engine.run_streamed_classified(&router, &source, 0.2 * n as f64, None);
                 assert!(report.dynamics_consistent(), "dynamics conservation broke");
                 assert_eq!(
                     report.link_down_events, report.link_up_events,
@@ -470,7 +480,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 name,
                 n,
                 engine.link_count(),
-                workload.len(),
+                source.len(),
                 cycles,
                 delivered,
                 dropped,
@@ -492,7 +502,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let spec = otis_layout::minimize_lenses(2, 12).expect("B(2,12) has an OTIS layout");
             let h = spec.h_digraph();
             let witness = spec.debruijn_witness().expect("layout is de Bruijn");
-            let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 500_000, 12);
+            let source = pregenerated(TrafficPattern::Hotspot, n, 500_000, 12);
             let config = QueueConfig {
                 buffers: 16,
                 wavelengths: 1,
@@ -515,7 +525,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let router =
                 otis_core::RelabeledRouter::new(DynamicRoutingTable::new(&b.digraph()), witness);
             let (cycles, delivered, dropped, elapsed) = time_run(2, || {
-                let report = engine.run(&router, &workload, 0.2 * n as f64);
+                let report = engine.run_streamed_classified(&router, &source, 0.2 * n as f64, None);
                 assert!(report.dynamics_consistent(), "dynamics conservation broke");
                 assert_eq!(
                     report.link_down_events, report.link_up_events,
@@ -531,7 +541,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 name,
                 n,
                 engine.link_count(),
-                workload.len(),
+                source.len(),
                 cycles,
                 delivered,
                 dropped,
@@ -540,12 +550,11 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 None,
             ))
         }
-        // B(2,16) through the compressed table — the PR-4/PR-5 shape,
-        // kept materialized so the figure stays comparable.
+        // B(2,16) uniform through the compressed table.
         "uniform_B_2_16_compressed_taildrop" => {
             let b = DeBruijn::new(2, 16);
             let n = b.node_count();
-            let workload = generate_workload(TrafficPattern::Uniform, n, 2, 200_000, 16);
+            let source = pregenerated(TrafficPattern::Uniform, n, 200_000, 16);
             let table = RoutingTable::from_debruijn(&b);
             assert!(table.is_compressed());
             let config = QueueConfig {
@@ -563,7 +572,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
                 b,
                 &engine,
                 &table,
-                &workload,
+                &source,
                 config,
                 0.1 * n as f64,
                 false,

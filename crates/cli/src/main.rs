@@ -660,9 +660,7 @@ fn run_queueing_traffic<R: otis_core::Router>(
             loads.push(options.load_per_node);
             loads.sort_by(|a, b| a.total_cmp(b));
         }
-        // Sweeps reuse one workload across every load point, so
-        // materializing it once is the cheaper trade here.
-        let sweep = engine.saturation_sweep(routed, &source.materialize(), &loads);
+        let sweep = engine.saturation_sweep(routed, source, &loads);
         println!("offered-load sweep ({pattern}, packets/node/cycle):");
         println!("  offered  delivered  drop%   p99 wait");
         for point in &sweep.points {

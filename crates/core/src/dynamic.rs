@@ -14,17 +14,20 @@
 //! The engine-facing half is [`RouteRepair`]: a queueing engine with a
 //! link-dynamics timeline asks its router for this capability
 //! ([`Router::as_repair`]) and, when present, feeds each death/revival
-//! through [`RouteRepair::apply_link_event`] on the sequential slot of
-//! its cycle loop — workers are parked at a phase barrier, so the
-//! write lock is uncontended in practice.
+//! through [`RouteRepair::apply_link_event_deferred`] on the
+//! sequential slot of its cycle loop, then calls
+//! [`RouteRepair::publish_deferred`] once per same-cycle batch —
+//! workers are parked at a phase barrier, so the write lock is
+//! uncontended in practice.
 //!
-//! Reads, by contrast, never touch that lock: every row-changing
-//! repair **publishes** an immutable [`RouteSnapshot`] (a compact CSR
-//! view behind an `Arc`) and bumps an epoch counter. The engine's
-//! drain/inject workers cache the snapshot per thread, poll the epoch
-//! once per cycle, and re-fetch only when it moved — so between link
-//! events every next-hop lookup is lock-free and wait-free, at the
-//! same canonical answers the locked path gives.
+//! Reads, by contrast, never touch that lock: every publication that
+//! follows a row-changing repair swaps in an immutable
+//! [`RouteSnapshot`] (a compact CSR view behind an `Arc`) and bumps an
+//! epoch counter. The engine's drain/inject workers cache the snapshot
+//! per thread, poll the epoch once per cycle, and re-fetch only when
+//! it moved — so between link events every next-hop lookup is
+//! lock-free and wait-free, at the same canonical answers the locked
+//! path gives.
 
 use crate::router::{rank_candidates, RankedCandidates, Router};
 use otis_digraph::compressed::CompressedNextHopTable;
@@ -35,34 +38,38 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// The online-repair capability a dynamics-driving engine consumes.
 ///
-/// Implementations patch their routing state so that, after the call
-/// returns, every query answers for the new survivor fabric. Calls
-/// happen on the engine's sequential slot (no routing queries in
-/// flight), once per link transition across zero capacity.
+/// A repair is two steps: [`Self::apply_link_event_deferred`] patches
+/// the routing state for one link transition, and
+/// [`Self::publish_deferred`] makes every patch since the last
+/// publication visible to readers. Calls happen on the engine's
+/// sequential slot (no routing queries in flight), once per link
+/// transition across zero capacity, with one publication per
+/// same-cycle batch.
 pub trait RouteRepair: Sync {
     /// The link `from → to` died (`alive = false`) or revived
-    /// (`alive = true`); repair and return what the repair cost.
-    /// A no-op transition (unknown link, already in that state) costs
-    /// [`RepairStats::default`].
-    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats;
-
-    /// As [`Self::apply_link_event`] but *without* refreshing the
-    /// published read snapshot. An engine applying a batch of
-    /// same-cycle events (a 16-beam storm crossing zero at once) calls
-    /// this per event and [`Self::publish_deferred`] once at the end
-    /// of the batch, paying one snapshot instead of sixteen. Routing
-    /// queries must not run between a deferred event and its
-    /// publication — the engine's sequential slot guarantees that.
-    /// The default forwards to the eager path (publish per event),
-    /// which is always correct, just slower.
-    fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats {
-        self.apply_link_event(from, to, alive)
-    }
+    /// (`alive = true`); patch the routing state and return what the
+    /// patch cost, *without* refreshing the published read snapshot.
+    /// An engine applying a batch of same-cycle events (a 16-beam
+    /// storm crossing zero at once) calls this per event and
+    /// [`Self::publish_deferred`] once at the end of the batch, paying
+    /// one snapshot instead of sixteen. Routing queries must not run
+    /// between a deferred event and its publication — the engine's
+    /// sequential slot guarantees that. A no-op transition (unknown
+    /// link, already in that state) costs [`RepairStats::default`].
+    fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats;
 
     /// Publish whatever [`Self::apply_link_event_deferred`] left
     /// pending; a no-op when nothing patched since the last
-    /// publication. The default (eager publication) never defers.
-    fn publish_deferred(&self) {}
+    /// publication.
+    fn publish_deferred(&self);
+
+    /// One event, published at once: after the call returns, every
+    /// query answers for the new survivor fabric.
+    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats {
+        let stats = self.apply_link_event_deferred(from, to, alive);
+        self.publish_deferred();
+        stats
+    }
 
     /// Total runs currently stored — the denominator a report quotes
     /// repair costs against (a full rebuild rewrites all of them).
@@ -70,20 +77,15 @@ pub trait RouteRepair: Sync {
 
     /// Monotone counter that moves exactly when the published snapshot
     /// changes. Engines poll this once per cycle (one atomic load) and
-    /// call [`Self::published_snapshot`] only when it moved. The
-    /// default (a constant `0`) pairs with the default `None` snapshot:
-    /// no lock-free read path on offer.
-    fn snapshot_epoch(&self) -> u64 {
-        0
-    }
+    /// call [`Self::published_snapshot`] only when it moved.
+    fn snapshot_epoch(&self) -> u64;
 
     /// The current epoch-published snapshot, if this implementation
-    /// offers lock-free reads. Fetching is cheap (`Arc` bumps plus one
+    /// offers lock-free reads (`None`: every read goes through the
+    /// router itself). Fetching is cheap (`Arc` bumps plus one
     /// uncontended mutex), but callers should still gate fetches on
     /// [`Self::snapshot_epoch`] movement and cache the result.
-    fn published_snapshot(&self) -> Option<RouteSnapshot> {
-        None
-    }
+    fn published_snapshot(&self) -> Option<RouteSnapshot>;
 }
 
 /// An immutable, epoch-stamped view of a repairable router's current
@@ -173,14 +175,15 @@ impl RouteSnapshot {
 pub struct DynamicRoutingTable {
     inner: RwLock<RepairableNextHopTable>,
     /// The epoch-published immutable read view; replaced (never
-    /// mutated) by [`RouteRepair::apply_link_event`] whenever a repair
-    /// patched at least one row. The mutex only guards the `Arc` swap
-    /// — readers clone out and drop the guard immediately.
+    /// mutated) by [`RouteRepair::publish_deferred`] whenever a repair
+    /// since the last publication patched at least one row. The mutex
+    /// only guards the `Arc` swap — readers clone out and drop the
+    /// guard immediately.
     published: Mutex<Arc<CompressedNextHopTable>>,
     /// Bumps with every publication; readers poll this to learn their
     /// cached snapshot went stale.
     epoch: AtomicU64,
-    /// A deferred-mode repair patched rows since the last publication
+    /// A repair patched rows since the last publication
     /// ([`RouteRepair::publish_deferred`] drains it).
     pending: AtomicBool,
     label: String,
@@ -198,7 +201,9 @@ impl DynamicRoutingTable {
         Self::with_dead_arcs(g, &[], label)
     }
 
-    /// Build with a set of arcs (arc indices of `g`) already down.
+    /// Build with a set of arcs (arc indices of `g`) already down —
+    /// how a hardware fault set enters the table (an OTIS fault set
+    /// maps its dead beams to arcs through `FaultSet::dead_arcs`).
     pub fn with_dead_arcs(g: &Digraph, dead: &[usize], label: impl Into<String>) -> Self {
         let table = RepairableNextHopTable::with_dead_arcs(g, dead);
         let published = Mutex::new(Arc::new(table.snapshot()));
@@ -227,41 +232,32 @@ impl DynamicRoutingTable {
         self.read().dead_arc_count()
     }
 
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, RepairableNextHopTable> {
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Kill/revive one arc by *arc index* of the underlying digraph —
-    /// the hook hardware-fault wrappers use where endpoint pairs are
+    /// the hook for hardware faults, where endpoint pairs are
     /// ambiguous (parallel beams implement distinct arcs between the
-    /// same node pair). Publishes a fresh snapshot exactly like
+    /// same node pair). Publishes exactly like
     /// [`RouteRepair::apply_link_event`]. Panics on an out-of-range
     /// arc index.
     pub fn apply_arc_event(&self, arc: usize, alive: bool) -> RepairStats {
-        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let stats = table.set_arc_alive(arc, alive);
-        self.publish_if_patched(&table, &stats);
+        let stats = self.write().set_arc_alive(arc, alive);
+        self.mark_pending(&stats);
+        self.publish_deferred();
         stats
     }
 
-    /// Re-publish the read view after a repair that changed at least
-    /// one row. Callers hold the write lock, so a reader that observes
-    /// the bumped epoch can only fetch the fresh snapshot.
-    fn publish_if_patched(&self, table: &RepairableNextHopTable, stats: &RepairStats) {
-        if stats.rows_patched == 0 {
-            return;
+    /// Flag a repair that changed at least one row for the next
+    /// [`RouteRepair::publish_deferred`].
+    fn mark_pending(&self, stats: &RepairStats) {
+        if stats.rows_patched > 0 {
+            // ORDERING: Relaxed — set and drained on the engine's
+            // sequential slot (no concurrent readers of the flag); the
+            // eventual publication does the Release hand-off.
+            self.pending.store(true, Ordering::Relaxed);
         }
-        self.publish(table);
-    }
-
-    /// Unconditionally snapshot `table` as the new read view and bump
-    /// the epoch.
-    fn publish(&self, table: &RepairableNextHopTable) {
-        let fresh = Arc::new(table.snapshot());
-        *self.published.lock().unwrap_or_else(|e| e.into_inner()) = fresh;
-        // ORDERING: Release pairs with the Acquire load in
-        // `snapshot_epoch` — a reader that sees the new epoch also
-        // sees the snapshot swap above. (Engine callers repair on
-        // their sequential slot with workers parked at a phase
-        // barrier, which already orders this; Release keeps
-        // standalone users correct too.)
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -315,43 +311,36 @@ impl Router for DynamicRoutingTable {
 }
 
 impl RouteRepair for DynamicRoutingTable {
-    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats {
-        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let n = table.node_count() as u64;
-        if from >= n || to >= n {
-            return RepairStats::default();
-        }
-        let stats = table
-            .set_link_alive(from as u32, to as u32, alive)
-            .unwrap_or_default();
-        self.publish_if_patched(&table, &stats);
-        stats
-    }
-
     fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats {
-        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let n = table.node_count() as u64;
-        if from >= n || to >= n {
-            return RepairStats::default();
-        }
-        let stats = table
-            .set_link_alive(from as u32, to as u32, alive)
-            .unwrap_or_default();
-        if stats.rows_patched > 0 {
-            // ORDERING: Relaxed — set and drained on the engine's
-            // sequential slot (no concurrent readers of the flag); the
-            // eventual publication does the Release hand-off.
-            self.pending.store(true, Ordering::Relaxed);
-        }
+        let stats = {
+            let mut table = self.write();
+            let n = table.node_count() as u64;
+            if from >= n || to >= n {
+                return RepairStats::default();
+            }
+            table
+                .set_link_alive(from as u32, to as u32, alive)
+                .unwrap_or_default()
+        };
+        self.mark_pending(&stats);
         stats
     }
 
     fn publish_deferred(&self) {
         // ORDERING: Relaxed — same sequential-slot discipline as the
-        // store above.
-        if self.pending.swap(false, Ordering::Relaxed) {
-            self.publish(&self.read());
+        // store in `mark_pending`.
+        if !self.pending.swap(false, Ordering::Relaxed) {
+            return;
         }
+        let fresh = Arc::new(self.read().snapshot());
+        *self.published.lock().unwrap_or_else(|e| e.into_inner()) = fresh;
+        // ORDERING: Release pairs with the Acquire load in
+        // `snapshot_epoch` — a reader that sees the new epoch also
+        // sees the snapshot swap above. (Engine callers repair on
+        // their sequential slot with workers parked at a phase
+        // barrier, which already orders this; Release keeps
+        // standalone users correct too.)
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     fn repair_table_runs(&self) -> usize {
@@ -360,7 +349,7 @@ impl RouteRepair for DynamicRoutingTable {
 
     fn snapshot_epoch(&self) -> u64 {
         // ORDERING: Acquire pairs with the Release bump in
-        // `apply_link_event`: observing a new epoch implies the
+        // `publish_deferred`: observing a new epoch implies the
         // matching published snapshot is visible.
         self.epoch.load(Ordering::Acquire)
     }

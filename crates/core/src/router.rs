@@ -25,10 +25,10 @@
 //!   `otis_optics::traffic::queueing`) and picks the least-queued of
 //!   the candidate next hops, with a deroute penalty so packets only
 //!   leave shortest paths when congestion justifies it;
-//! * the fault-aware router that recomputes around dead optical
-//!   hardware lives in `otis_optics::faults` next to the fault model
-//!   it consumes — and exposes candidates over the *surviving*
-//!   digraph, so adaptivity composes with dead hardware.
+//! * [`crate::DynamicRoutingTable`] built over a fault set's dead
+//!   arcs (`otis_optics::faults::FaultSet::dead_arcs`) routes around
+//!   dead optical hardware — and exposes candidates over the
+//!   *surviving* digraph, so adaptivity composes with dead hardware.
 
 use crate::{DeBruijn, DigraphFamily, Kautz};
 use otis_digraph::bfs::{NextHopTable, TableCapExceeded};
@@ -152,8 +152,8 @@ pub trait Router: Sync {
     /// The router's online-repair capability, if it has one: a
     /// dynamics-driving engine calls this once per link death/revival
     /// and, when `Some`, routes the event into
-    /// [`crate::dynamic::RouteRepair::apply_link_event`] so the
-    /// router's tables track the survivor fabric mid-run. Oblivious
+    /// [`crate::dynamic::RouteRepair::apply_link_event_deferred`] so
+    /// the router's tables track the survivor fabric mid-run. Oblivious
     /// and arithmetic routers keep the default `None` (their answers
     /// never depend on liveness); wrappers delegate to their inner
     /// router so `adaptive(dynamic-table)` repairs through the wrap.
@@ -738,21 +738,6 @@ impl<R: Router> Router for RelabeledRouter<R> {
 /// published snapshot comes back wrapped in the same witness, so
 /// engine workers still query in outer numbering.
 impl<R: Router> crate::dynamic::RouteRepair for RelabeledRouter<R> {
-    fn apply_link_event(
-        &self,
-        from: u64,
-        to: u64,
-        alive: bool,
-    ) -> otis_digraph::repair::RepairStats {
-        let Some(repair) = self.inner.as_repair() else {
-            return otis_digraph::repair::RepairStats::default();
-        };
-        let (Some(f), Some(t)) = (self.map_in(from), self.map_in(to)) else {
-            return otis_digraph::repair::RepairStats::default();
-        };
-        repair.apply_link_event(f, t, alive)
-    }
-
     fn apply_link_event_deferred(
         &self,
         from: u64,

@@ -9,10 +9,17 @@
 //! resilience story a downstream adopter of an OTIS fabric needs,
 //! and an exercise of the de Bruijn's known fault-tolerance (`d`
 //! arc-disjoint-ish alternatives per hop).
+//!
+//! Routing around a fault set is the repairable table's job:
+//! [`FaultSet::dead_arcs`] names the dead beams as arcs of the full
+//! fabric, [`otis_core::DynamicRoutingTable::with_dead_arcs`] builds a
+//! shortest-surviving-path router over them, and a later single-beam
+//! fault is one [`otis_core::DynamicRoutingTable::apply_arc_event`] —
+//! an in-place patch that lands on exactly the table a fresh build
+//! over the grown fault set would give.
 
 use crate::HDigraph;
-use otis_core::{AdaptiveRouter, CongestionMap, DigraphFamily, DynamicRoutingTable, Router};
-use otis_digraph::repair::RepairStats;
+use otis_core::DigraphFamily;
 use otis_digraph::{Digraph, DigraphBuilder};
 use serde::{Deserialize, Serialize};
 
@@ -58,6 +65,29 @@ impl FaultSet {
             .filter(|&t| !self.beam_alive(h, t))
             .count()
     }
+
+    /// The dead beams as arc indices of the full fabric
+    /// `surviving_digraph(h, &FaultSet::none())`, ascending by beam.
+    ///
+    /// Beam `t = u·d + k` implements the arc `u → out_neighbor(u, k)`;
+    /// the digraph sorts each node's arc targets, so slot order and arc
+    /// order differ. Ranking a node's slots by `(target, slot)` keeps
+    /// the map a bijection, so parallel beams to one target map to
+    /// *distinct* arcs.
+    pub fn dead_arcs(&self, h: &HDigraph) -> Vec<usize> {
+        let d = u64::from(h.degree());
+        (0..h.otis().link_count())
+            .filter(|&t| !self.beam_alive(h, t))
+            .map(|t| {
+                let (u, k) = (t / d, (t % d) as u32);
+                let slot = (h.out_neighbor(u, k), k);
+                let rank = (0..h.degree())
+                    .filter(|&j| (h.out_neighbor(u, j), j) < slot)
+                    .count();
+                (u * d) as usize + rank
+            })
+            .collect()
+    }
 }
 
 /// The digraph that survives a fault set: same nodes, minus every arc
@@ -75,175 +105,6 @@ pub fn surviving_digraph(h: &HDigraph, faults: &FaultSet) -> Digraph {
         }
     }
     builder.build()
-}
-
-/// A [`Router`] that routes around hardware faults: it keeps an
-/// incrementally repairable next-hop table over the full fabric with
-/// the dead beams marked down, so any packet with a surviving path is
-/// delivered on a shortest surviving route, and packets with no path
-/// fail cleanly (`next_hop` → `None`, which the simulator reports as
-/// `SimError::Unreachable`).
-///
-/// Single-beam faults repair *in place*:
-/// [`FaultAwareRouter::kill_transmitter`] and
-/// [`FaultAwareRouter::revive_transmitter`] patch only the next-hop
-/// runs whose min-first-hop changed — no table rebuild — and land on
-/// exactly the table a fresh [`FaultAwareRouter::new`] over the same
-/// fault set would build. Bulk fault-set swaps still go through
-/// [`FaultAwareRouter::refresh`].
-///
-/// The table rides [`DynamicRoutingTable`], so every repair also
-/// publishes an epoch-stamped [`otis_core::RouteSnapshot`] and
-/// [`Router::as_repair`] exposes the engine-facing repair hook —
-/// a fault-aware router dropped into a `--dynamics` queueing run gets
-/// the same lock-free snapshot reads as a bare dynamic table.
-pub struct FaultAwareRouter {
-    table: DynamicRoutingTable,
-    faults: FaultSet,
-    /// `beam_arc[t]` = the full-digraph arc index implemented by beam
-    /// `t` — a per-node bijection (the digraph sorts each node's arc
-    /// targets, so slot order and arc order differ, and parallel
-    /// beams to one target must map to *distinct* arcs).
-    beam_arc: Vec<usize>,
-    label: String,
-}
-
-impl std::fmt::Debug for FaultAwareRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultAwareRouter")
-            .field("label", &self.label)
-            .field("faults", &self.faults)
-            .field("dead_beams", &self.table.dead_arc_count())
-            .finish()
-    }
-}
-
-impl FaultAwareRouter {
-    /// Router over what survives of `h` under `faults`.
-    pub fn new(h: &HDigraph, faults: FaultSet) -> Self {
-        let full = surviving_digraph(h, &FaultSet::none());
-        let d = u64::from(h.degree());
-        // Beam t = u·d + k implements the arc u → out_neighbor(u, k).
-        // Match each node's slots against its sorted arc slice by
-        // (target, slot) so the assignment is a bijection even with
-        // parallel beams.
-        let mut beam_arc = vec![0usize; h.otis().link_count() as usize];
-        for u in 0..h.node_count() {
-            let mut slots: Vec<(u32, u32)> = (0..h.degree())
-                .map(|k| (h.out_neighbor(u, k) as u32, k))
-                .collect();
-            slots.sort_unstable();
-            for (arc, &(target, k)) in full.arc_range(u as u32).zip(slots.iter()) {
-                debug_assert_eq!(full.arc_target(arc), target);
-                beam_arc[(u * d + u64::from(k)) as usize] = arc;
-            }
-        }
-        let dead: Vec<usize> = (0..h.otis().link_count())
-            .filter(|&t| !faults.beam_alive(h, t))
-            .map(|t| beam_arc[t as usize])
-            .collect();
-        let label = h.name();
-        FaultAwareRouter {
-            table: DynamicRoutingTable::with_dead_arcs(&full, &dead, label.clone()),
-            faults,
-            beam_arc,
-            label,
-        }
-    }
-
-    /// The fault set currently routed around.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    /// Refresh-free single-beam fault: transmitter `t` dies, and only
-    /// the next-hop runs whose min-first-hop changed get patched.
-    /// Returns the repair bill (a no-op if the beam was already dead
-    /// under some other fault).
-    pub fn kill_transmitter(&mut self, t: u64) -> RepairStats {
-        if !self.faults.dead_transmitters.contains(&t) {
-            self.faults.dead_transmitters.push(t);
-        }
-        self.table.apply_arc_event(self.beam_arc[t as usize], false)
-    }
-
-    /// Refresh-free single-beam revival: drop transmitter `t` from the
-    /// fault set and, if no *other* fault still covers its beam (an
-    /// occluded lens, a dead receiver), patch the table back.
-    pub fn revive_transmitter(&mut self, h: &HDigraph, t: u64) -> RepairStats {
-        assert_eq!(h.name(), self.label, "revive must use the same fabric");
-        self.faults.dead_transmitters.retain(|&dead| dead != t);
-        if self.faults.beam_alive(h, t) {
-            self.table.apply_arc_event(self.beam_arc[t as usize], true)
-        } else {
-            RepairStats::default()
-        }
-    }
-
-    /// Recompute the table for a new fault set on the same fabric.
-    pub fn refresh(&mut self, h: &HDigraph, faults: FaultSet) {
-        assert_eq!(h.name(), self.label, "refresh must use the same fabric");
-        *self = FaultAwareRouter::new(h, faults);
-    }
-
-    /// Shortest surviving distance, if any.
-    pub fn surviving_distance(&self, src: u64, dst: u64) -> Option<u64> {
-        self.distance(src, dst)
-    }
-
-    /// The current next-hop rows as a static compressed table — the
-    /// equivalence hook the kill/revive battery pins against a fresh
-    /// build over the same fault set.
-    pub fn snapshot(&self) -> otis_digraph::compressed::CompressedNextHopTable {
-        self.table.snapshot()
-    }
-
-    /// Compose with contention awareness: an [`AdaptiveRouter`] whose
-    /// candidate set already excludes dead beams, so the adaptive
-    /// choice spreads load over *surviving* hardware only.
-    pub fn adaptive<C: CongestionMap>(self, congestion: C) -> AdaptiveRouter<Self, C> {
-        AdaptiveRouter::new(self, congestion)
-    }
-}
-
-impl Router for FaultAwareRouter {
-    fn node_count(&self) -> u64 {
-        self.table.node_count()
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "fault-aware({}, {} faults)",
-            self.label,
-            self.faults.dead_transmitters.len()
-                + self.faults.dead_receivers.len()
-                + self.faults.dead_lens1.len()
-                + self.faults.dead_lens2.len()
-        )
-    }
-
-    fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
-        self.table.next_hop(current, dst)
-    }
-
-    fn ranked_candidates(&self, current: u64, dst: u64) -> otis_core::RankedCandidates {
-        // Live out-beams only, ranked ascending by remaining distance
-        // (ties keep the fabric's transceiver order) — the same
-        // contract as every other table router, minus the dead beams.
-        self.table.ranked_candidates(current, dst)
-    }
-
-    fn distance(&self, src: u64, dst: u64) -> Option<u64> {
-        self.table.distance(src, dst)
-    }
-
-    fn as_repair(&self) -> Option<&dyn otis_core::RouteRepair> {
-        // The raw endpoint-addressed repair hook of the underlying
-        // table: a dynamics-driving engine feeds deaths/revivals here.
-        // Note this bypasses the [`FaultSet`] bookkeeping — hardware
-        // faults and timeline events are separate ledgers by design.
-        self.table.as_repair()
-    }
 }
 
 /// Resilience report for a fault set on a fabric.
@@ -279,9 +140,30 @@ pub fn assess(h: &HDigraph, faults: &FaultSet) -> ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otis_core::{DynamicRoutingTable, RouteRepair, Router};
+    use otis_digraph::repair::RepairStats;
 
     fn fabric() -> HDigraph {
         HDigraph::new(16, 32, 2) // ≅ B(2,8)
+    }
+
+    /// The fault-aware router: the repairable table over the full
+    /// fabric with `faults`' beams dead.
+    fn fault_table(h: &HDigraph, faults: &FaultSet) -> DynamicRoutingTable {
+        DynamicRoutingTable::with_dead_arcs(
+            &surviving_digraph(h, &FaultSet::none()),
+            &faults.dead_arcs(h),
+            h.name(),
+        )
+    }
+
+    /// The full-fabric arc transmitter `t`'s beam implements.
+    fn beam_arc(h: &HDigraph, t: u64) -> usize {
+        let faults = FaultSet {
+            dead_transmitters: vec![t],
+            ..FaultSet::none()
+        };
+        faults.dead_arcs(h)[0]
     }
 
     #[test]
@@ -371,6 +253,39 @@ mod tests {
     }
 
     #[test]
+    fn dead_arcs_map_beams_one_to_one_onto_their_arcs() {
+        // Every beam's arc joins the beam's endpoints, and no two beams
+        // share an arc — parallel beams included.
+        for h in [fabric(), HDigraph::new(2, 4, 2), HDigraph::new(3, 6, 3)] {
+            let full = surviving_digraph(&h, &FaultSet::none());
+            let d = u64::from(h.degree());
+            let mut seen = vec![false; full.arc_count()];
+            for t in 0..h.otis().link_count() {
+                let arc = beam_arc(&h, t);
+                let (u, k) = (t / d, (t % d) as u32);
+                assert_eq!(full.arc_source(arc) as u64, u, "{} beam {t}", h.name());
+                assert_eq!(
+                    full.arc_target(arc) as u64,
+                    h.out_neighbor(u, k),
+                    "{} beam {t}",
+                    h.name()
+                );
+                assert!(!seen[arc], "{} beam {t} reuses arc {arc}", h.name());
+                seen[arc] = true;
+            }
+        }
+        // A lens fault kills its whole group, in beam order.
+        let h = fabric();
+        let lens = FaultSet {
+            dead_lens1: vec![3],
+            ..FaultSet::none()
+        };
+        let arcs = lens.dead_arcs(&h);
+        assert_eq!(arcs.len(), lens.killed_beam_count(&h));
+        assert!(FaultSet::none().dead_arcs(&h).is_empty());
+    }
+
+    #[test]
     fn fault_aware_router_delivers_whenever_a_path_survives() {
         let h = fabric();
         let faults = FaultSet {
@@ -378,7 +293,7 @@ mod tests {
             dead_lens2: vec![5],
             ..FaultSet::none()
         };
-        let router = FaultAwareRouter::new(&h, faults.clone());
+        let router = fault_table(&h, &faults);
         let survivors = surviving_digraph(&h, &faults);
         for src in (0..h.node_count()).step_by(7) {
             let dist = otis_digraph::bfs::distances(&survivors, src as u32);
@@ -406,8 +321,8 @@ mod tests {
     #[test]
     fn fault_aware_router_refresh_tracks_new_faults() {
         let h = fabric();
-        let mut router = FaultAwareRouter::new(&h, FaultSet::none());
-        let full_distance = router.surviving_distance(1, h.out_neighbor(1, 0));
+        let router = fault_table(&h, &FaultSet::none());
+        let full_distance = router.distance(1, h.out_neighbor(1, 0));
         assert_eq!(full_distance, Some(1));
         // Kill node 1's first transmitter: that 1-hop route must now
         // detour (or keep length 1 only via the other transceiver).
@@ -415,8 +330,7 @@ mod tests {
             dead_transmitters: vec![2],
             ..FaultSet::none()
         };
-        router.refresh(&h, faults);
-        let degraded = router.surviving_distance(1, h.out_neighbor(1, 0));
+        let degraded = fault_table(&h, &faults).distance(1, h.out_neighbor(1, 0));
         assert!(degraded.is_some(), "B(2,8) survives one arc loss");
         assert!(degraded.unwrap() >= 1);
     }
@@ -424,32 +338,42 @@ mod tests {
     #[test]
     fn incremental_kill_and_revive_match_a_fresh_build() {
         let h = fabric();
-        let mut router = FaultAwareRouter::new(&h, FaultSet::none());
+        let router = fault_table(&h, &FaultSet::none());
         // Kill scattered transmitters one at a time; after every step
         // the patched table must be byte-identical to a fresh build
         // over the same fault set, at strictly sub-rebuild cost.
         let total_runs = router.snapshot().run_count();
         let mut faults = FaultSet::none();
         for &t in &[7u64, 42, 301] {
-            let bill = router.kill_transmitter(t);
+            let bill = router.apply_arc_event(beam_arc(&h, t), false);
             assert!(bill.rows_patched > 0, "beam {t} feeds some route");
             assert!(
                 bill.runs_patched < total_runs,
                 "beam {t} patched everything"
             );
             faults.dead_transmitters.push(t);
-            let fresh = FaultAwareRouter::new(&h, faults.clone());
+            let fresh = fault_table(&h, &faults);
             assert_eq!(router.snapshot(), fresh.snapshot(), "after killing {t}");
-            assert_eq!(router.faults(), fresh.faults());
         }
         // Revive in a different order; the end state is the pristine
         // fabric, byte-identical to a no-fault build.
         for &t in &[42u64, 301, 7] {
-            router.revive_transmitter(&h, t);
+            router.apply_arc_event(beam_arc(&h, t), true);
         }
-        let pristine = FaultAwareRouter::new(&h, FaultSet::none());
+        let pristine = fault_table(&h, &FaultSet::none());
         assert_eq!(router.snapshot(), pristine.snapshot());
-        assert_eq!(router.faults(), &FaultSet::none());
+        assert_eq!(router.dead_arc_count(), 0);
+        // A beam that is already dead costs nothing to kill again.
+        let lens = FaultSet {
+            dead_lens1: vec![2],
+            ..FaultSet::none()
+        };
+        let covered = fault_table(&h, &lens);
+        assert_eq!(
+            covered.apply_arc_event(beam_arc(&h, 70), false),
+            RepairStats::default(),
+            "lens 2 already occludes beam 70"
+        );
     }
 
     #[test]
@@ -461,43 +385,34 @@ mod tests {
         // here is exactly the stale-route wedge the snapshot-path
         // engine would inherit).
         let h = fabric();
-        let mut router = FaultAwareRouter::new(&h, FaultSet::none());
+        let router = fault_table(&h, &FaultSet::none());
         let t = 42u64;
+        let arc = beam_arc(&h, t);
         let dead = FaultSet {
             dead_transmitters: vec![t],
             ..FaultSet::none()
         };
-        let epoch = |r: &FaultAwareRouter| r.as_repair().expect("repairable").snapshot_epoch();
+        let epoch = |r: &DynamicRoutingTable| r.snapshot_epoch();
         let mut epochs = vec![epoch(&router)];
-        router.kill_transmitter(t);
+        router.apply_arc_event(arc, false);
+        epochs.push(epoch(&router));
+        assert_eq!(router.snapshot(), fault_table(&h, &dead).snapshot());
+        router.apply_arc_event(arc, true);
         epochs.push(epoch(&router));
         assert_eq!(
             router.snapshot(),
-            FaultAwareRouter::new(&h, dead.clone()).snapshot()
+            fault_table(&h, &FaultSet::none()).snapshot()
         );
-        router.revive_transmitter(&h, t);
+        router.apply_arc_event(arc, false);
         epochs.push(epoch(&router));
-        assert_eq!(
-            router.snapshot(),
-            FaultAwareRouter::new(&h, FaultSet::none()).snapshot()
-        );
-        router.kill_transmitter(t);
-        epochs.push(epoch(&router));
-        assert_eq!(
-            router.snapshot(),
-            FaultAwareRouter::new(&h, dead).snapshot()
-        );
+        assert_eq!(router.snapshot(), fault_table(&h, &dead).snapshot());
         assert!(
             epochs.windows(2).all(|w| w[0] < w[1]),
             "every row-changing transition must publish: {epochs:?}"
         );
         // The published read view answers exactly like the locked path
         // after the full kill→revive→kill sequence.
-        let snap = router
-            .as_repair()
-            .expect("repairable")
-            .published_snapshot()
-            .expect("published");
+        let snap = router.published_snapshot().expect("published");
         for src in (0..h.node_count()).step_by(13) {
             for dst in (0..h.node_count()).step_by(11) {
                 assert_eq!(
@@ -507,32 +422,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn revive_keeps_a_lens_covered_beam_dead() {
-        let h = fabric();
-        // Transmitter 70 is doubly dead: as a transmitter fault AND
-        // under occluded first-array lens 2 (groups are q = 32 wide,
-        // so lens 2 covers beams 64..96).
-        let faults = FaultSet {
-            dead_transmitters: vec![70],
-            dead_lens1: vec![2],
-            ..FaultSet::none()
-        };
-        let mut router = FaultAwareRouter::new(&h, faults);
-        // Clearing the transmitter fault must NOT revive the beam —
-        // the lens still occludes it, so the repair is a free no-op.
-        let bill = router.revive_transmitter(&h, 70);
-        assert_eq!(bill, RepairStats::default());
-        let fresh = FaultAwareRouter::new(
-            &h,
-            FaultSet {
-                dead_lens1: vec![2],
-                ..FaultSet::none()
-            },
-        );
-        assert_eq!(router.snapshot(), fresh.snapshot());
     }
 
     #[test]

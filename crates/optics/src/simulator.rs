@@ -200,7 +200,8 @@ impl OtisSimulator {
 
     /// Send along the route chosen by any [`Router`] — the arithmetic
     /// tableless routers, a precomputed [`otis_core::RoutingTable`],
-    /// or the fault-aware router from [`crate::faults`].
+    /// or a [`otis_core::DynamicRoutingTable`] routing around a
+    /// [`crate::faults::FaultSet`].
     pub fn send_via(
         &self,
         router: &dyn Router,

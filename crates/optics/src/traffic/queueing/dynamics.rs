@@ -220,6 +220,9 @@ impl FromStr for DynamicsSpec {
                     if up == 0 || down == 0 {
                         return Err(format!("{part:?}: flap up/down times must be positive"));
                     }
+                    if up.checked_add(down).is_none() {
+                        return Err(format!("{part:?}: flap period UP+DOWN overflows u64"));
+                    }
                     DynamicsEvent::Flap {
                         start: parse_u64(start, "start cycle", part)?,
                         from,
@@ -466,6 +469,7 @@ impl DynamicsSpec {
                     repeats,
                 } => {
                     let arc = arc_between(from, to, rank)?;
+                    // The parser rejects a period that overflows.
                     let period = up + down;
                     for rep in 0..repeats {
                         let at = start.saturating_add(rep.saturating_mul(period));
@@ -647,6 +651,7 @@ mod tests {
             "fade@x:0>1",
             "fade@1:0-1",
             "flap@1:0>1:0:5",
+            "flap@0:0>1:18446744073709551615:1:1",
             "storm@1:5-2:10",
             "storm@1:0-3:0",
             "randfades@1:2:0:5",

@@ -486,17 +486,12 @@ impl TreeSet {
 pub struct QueueingEngine {
     g: Arc<Digraph>,
     config: QueueConfig,
-    /// The link-dynamics script runs replay, if any, with its
-    /// timeline compiled once against this fabric (see
-    /// [`QueueingEngine::set_dynamics`]).
-    dynamics: Option<(DynamicsSpec, dynamics::Timeline)>,
+    /// The link-dynamics timeline runs replay, if any, compiled once
+    /// against this fabric (see
+    /// [`QueueingEngine::try_set_dynamics_relabeled`]).
+    dynamics: Option<dynamics::Timeline>,
     /// What a run does with packets stranded by a link death.
     stranded: StrandedPolicy,
-    /// Route lock-free through the repairing router's published
-    /// epoch snapshot where legal (default). `false` forces every
-    /// next-hop query through the router's own locked path — kept as
-    /// the differential-testing oracle for the snapshot fast path.
-    snapshot_reads: bool,
     /// One counter per (arc, VC class), arc-major — the occupancy
     /// scoreboard behind [`LinkOccupancy`].
     counts: Arc<[AtomicU32]>,
@@ -565,7 +560,6 @@ impl QueueingEngine {
             config,
             dynamics: None,
             stranded: StrandedPolicy::default(),
-            snapshot_reads: true,
             counts: counts.into(),
             fade_penalty: fade_penalty.into(),
             dateline,
@@ -597,68 +591,34 @@ impl QueueingEngine {
     /// Replay `spec`'s link dynamics on every subsequent run: fades,
     /// flaps and storms applied at cycle boundaries, with stranded
     /// packets handled per `stranded`. The spec is compiled against
-    /// the fabric immediately — once, not per run — so unknown links
-    /// panic here, not mid-run. Unicast (materialized or streamed)
-    /// runs only — a multicast run with dynamics set is rejected.
+    /// the fabric immediately — once, not per run — so a bad spec is
+    /// an error here, not mid-run. Unicast runs only — a multicast
+    /// run with dynamics set is rejected.
     ///
-    /// # Panics
+    /// `node_rank` is the de Bruijn isomorphism witness
+    /// (`node_rank[fabric_node] = rank`) of a *relabeled* fabric's
+    /// [`otis_core::RelabeledRouter`], and lets the spec address links
+    /// in rank space via the `rank:` prefix (see [`DynamicsSpec`]'s
+    /// grammar); compile errors on such fabrics name offending links
+    /// in both numberings. Pass `None` for a fabric routed in its own
+    /// numbering.
     ///
-    /// On a spec the fabric cannot satisfy; use
-    /// [`QueueingEngine::try_set_dynamics`] to keep the error.
-    pub fn set_dynamics(&mut self, spec: DynamicsSpec, stranded: StrandedPolicy) {
-        self.try_set_dynamics(spec, stranded)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// As [`QueueingEngine::set_dynamics`], returning the compile
-    /// error (unknown link, out-of-range node, `rank:` addressing
-    /// without a witness) instead of panicking.
-    pub fn try_set_dynamics(
-        &mut self,
-        spec: DynamicsSpec,
-        stranded: StrandedPolicy,
-    ) -> Result<(), String> {
-        self.try_set_dynamics_relabeled(spec, stranded, None)
-    }
-
-    /// As [`QueueingEngine::try_set_dynamics`] for a *relabeled*
-    /// fabric: `node_rank` is the de Bruijn isomorphism witness
-    /// (`node_rank[fabric_node] = rank`) of the
-    /// [`otis_core::RelabeledRouter`] driving the run, and lets the
-    /// spec address links in rank space via the `rank:` prefix (see
-    /// [`DynamicsSpec`]'s grammar). Compile errors on such fabrics
-    /// name offending links in both numberings.
+    /// # Errors
+    ///
+    /// On a spec the fabric cannot satisfy: an unknown link, an
+    /// out-of-range node, or `rank:` addressing without a witness.
     pub fn try_set_dynamics_relabeled(
         &mut self,
         spec: DynamicsSpec,
         stranded: StrandedPolicy,
         node_rank: Option<&[u32]>,
     ) -> Result<(), String> {
-        let timeline = spec.try_compile(&self.g, self.config.wavelengths, node_rank)?;
-        self.dynamics = Some((spec, timeline));
+        self.dynamics = Some(spec.try_compile(&self.g, self.config.wavelengths, node_rank)?);
         self.stranded = stranded;
         Ok(())
     }
 
-    /// Remove a previously set dynamics timeline.
-    pub fn clear_dynamics(&mut self) {
-        self.dynamics = None;
-    }
-
-    /// Route drain/inject next-hop queries through the repairing
-    /// router's published epoch snapshot (lock-free) where legal.
-    /// Defaults to `true`; `false` forces the router's own locked
-    /// path on every query — the byte-identical oracle the snapshot
-    /// fast path is differentially tested against.
-    pub fn set_snapshot_reads(&mut self, enabled: bool) {
-        self.snapshot_reads = enabled;
-    }
-
-    pub(super) fn snapshot_reads(&self) -> bool {
-        self.snapshot_reads
-    }
-
-    pub(super) fn dynamics(&self) -> Option<&(DynamicsSpec, dynamics::Timeline)> {
+    pub(super) fn dynamics(&self) -> Option<&dynamics::Timeline> {
         self.dynamics.as_ref()
     }
 
@@ -712,65 +672,27 @@ impl QueueingEngine {
         }
     }
 
-    /// Inject `workload` at `offered_per_cycle` packets per cycle
-    /// (fabric-wide) through per-source injection queues, simulate
-    /// until every injected packet is delivered or dropped (or the
-    /// run deadlocks / hits `max_cycles`), and report the dynamics.
-    /// Every workload source must be a fabric node (`src <
+    /// Inject `source`'s pairs at `offered_per_cycle` packets per
+    /// cycle (fabric-wide) through per-source injection queues,
+    /// simulate until every injected packet is delivered or dropped
+    /// (or the run deadlocks / hits `max_cycles`), and report the
+    /// dynamics. Every workload source must be a fabric node (`src <
     /// node_count`); destinations may be arbitrary (an off-fabric
     /// destination is an unroutable drop).
-    pub fn run(
-        &self,
-        router: &dyn Router,
-        workload: &[(u64, u64)],
-        offered_per_cycle: f64,
-    ) -> QueueingReport {
-        self.run_classified(router, workload, offered_per_cycle, None)
-    }
-
-    /// As [`QueueingEngine::run`], additionally splitting delay,
-    /// delivery and drops by traffic class — packets destined for
-    /// `hot_dst` versus everything else
-    /// ([`QueueingReport::class_stats`]). Pass the hotspot pattern's
-    /// hot node ([`super::TrafficPattern::hot_node`]) and the
-    /// tree-saturation story becomes visible per class: the hot
-    /// quarter queueing into the saturated in-tree, the background
-    /// three quarters suffering only collateral head-of-line damage.
-    pub fn run_classified(
-        &self,
-        router: &dyn Router,
-        workload: &[(u64, u64)],
-        offered_per_cycle: f64,
-        hot_dst: Option<u64>,
-    ) -> QueueingReport {
-        run::execute(
-            self,
-            router,
-            run::Work::Unicast(workload),
-            offered_per_cycle,
-            hot_dst,
-        )
-    }
-
-    /// As [`QueueingEngine::run`], but fed by a streamed
-    /// [`WorkloadSource`] instead of a materialized pair slice: the
-    /// decode step regenerates one deterministic chunk at a time, so
-    /// a ten-million-packet run holds one chunk (not 160 MB of pairs)
-    /// resident. The report is byte-identical to materializing the
-    /// same source and calling [`QueueingEngine::run`] — the decode
-    /// step is the only consumer of either feed.
-    pub fn run_streamed(
-        &self,
-        router: &dyn Router,
-        source: &WorkloadSource,
-        offered_per_cycle: f64,
-    ) -> QueueingReport {
-        self.run_streamed_classified(router, source, offered_per_cycle, None)
-    }
-
-    /// As [`QueueingEngine::run_streamed`], additionally splitting
-    /// delay, delivery and drops by traffic class (see
-    /// [`QueueingEngine::run_classified`]).
+    ///
+    /// The decode step reads one [`WorkloadSource::CHUNK`] at a time,
+    /// so a ten-million-packet generated run holds one chunk (not
+    /// 160 MB of pairs) resident — and reports byte-identically to
+    /// the same pairs fed through [`WorkloadSource::from_pairs`].
+    ///
+    /// `hot_dst` additionally splits delay, delivery and drops by
+    /// traffic class — packets destined for `hot_dst` versus
+    /// everything else ([`QueueingReport::class_stats`]). Pass the
+    /// hotspot pattern's hot node
+    /// ([`super::TrafficPattern::hot_node`]) and the tree-saturation
+    /// story becomes visible per class: the hot quarter queueing into
+    /// the saturated in-tree, the background three quarters suffering
+    /// only collateral head-of-line damage.
     pub fn run_streamed_classified(
         &self,
         router: &dyn Router,
@@ -781,9 +703,25 @@ impl QueueingEngine {
         run::execute(
             self,
             router,
-            run::Work::Streamed(source),
+            run::Work::Unicast(source),
             offered_per_cycle,
             hot_dst,
+        )
+    }
+
+    /// [`QueueingEngine::run_streamed_classified`] over an explicit
+    /// pair list, unclassified.
+    pub fn run(
+        &self,
+        router: &dyn Router,
+        workload: &[(u64, u64)],
+        offered_per_cycle: f64,
+    ) -> QueueingReport {
+        self.run_streamed_classified(
+            router,
+            &WorkloadSource::from_pairs(workload),
+            offered_per_cycle,
+            None,
         )
     }
 
@@ -826,14 +764,14 @@ impl QueueingEngine {
     pub fn saturation_sweep(
         &self,
         router: &dyn Router,
-        workload: &[(u64, u64)],
+        source: &WorkloadSource,
         loads_per_node: &[f64],
     ) -> SaturationSweep {
         let n = self.node_count() as f64;
         let points = loads_per_node
             .iter()
             .map(|&load| {
-                let report = self.run(router, workload, load * n);
+                let report = self.run_streamed_classified(router, source, load * n, None);
                 SaturationPoint {
                     offered_per_node: load,
                     delivered_per_node: report.throughput_per_cycle() / n,
@@ -1049,7 +987,8 @@ mod tests {
         let engine = QueueingEngine::new(g, config(1, 1, ContentionPolicy::Backpressure));
         let mut workload = vec![(0u64, 1u64); 6];
         workload.push((2, 3));
-        let report = engine.run_classified(&router, &workload, 7.0, Some(3));
+        let source = WorkloadSource::from_pairs(workload);
+        let report = engine.run_streamed_classified(&router, &source, 7.0, Some(3));
         assert!(report.conserves_packets());
         assert_eq!(report.delivered, 7);
         let stats = report.class_stats.as_ref().expect("classified run");
@@ -1071,8 +1010,9 @@ mod tests {
         let g = cycle(4);
         let router = RoutingTable::new(&g);
         let engine = QueueingEngine::new(g, config(4, 1, ContentionPolicy::TailDrop));
-        let workload = [(0, 2), (1, 2), (3, 2), (1, 0), (2, 1), (3, 3)];
-        let report = engine.run_classified(&router, &workload, 2.0, Some(2));
+        let workload: [(u64, u64); 6] = [(0, 2), (1, 2), (3, 2), (1, 0), (2, 1), (3, 3)];
+        let source = WorkloadSource::from_pairs(workload);
+        let report = engine.run_streamed_classified(&router, &source, 2.0, Some(2));
         assert!(report.conserves_packets());
         let stats = report.class_stats.as_ref().expect("classified run");
         assert_eq!(stats.hot.injected, 3);
@@ -1195,7 +1135,8 @@ mod tests {
         let router = RoutingTable::new(&g);
         let engine = QueueingEngine::new(g, config(8, 1, ContentionPolicy::TailDrop));
         let workload: Vec<(u64, u64)> = (0..400).map(|i| (i % 8, (i + 3) % 8)).collect();
-        let sweep = engine.saturation_sweep(&router, &workload, &[0.05, 0.1, 0.3, 0.6, 1.0]);
+        let source = WorkloadSource::from_pairs(workload);
+        let sweep = engine.saturation_sweep(&router, &source, &[0.05, 0.1, 0.3, 0.6, 1.0]);
         assert_eq!(sweep.points.len(), 5);
         let saturation = sweep.saturation_throughput_per_node();
         assert!(saturation > 0.0);
@@ -1217,6 +1158,7 @@ mod tests {
         let workload: Vec<(u64, u64)> = (0..600)
             .map(|i| ((i * 7) % 16, (i * 13 + 3) % 16))
             .collect();
+        let source = WorkloadSource::from_pairs(workload);
         let run_with = |threads: usize| {
             let g = Digraph::from_fn(16, |u| [(2 * u) % 16, (2 * u + 1) % 16]);
             let router = RoutingTable::new(&g);
@@ -1228,7 +1170,7 @@ mod tests {
                     ..config(2, 1, ContentionPolicy::Backpressure)
                 },
             );
-            let report = engine.run_classified(&router, &workload, 8.0, Some(3));
+            let report = engine.run_streamed_classified(&router, &source, 8.0, Some(3));
             serde_json::to_string(&report).expect("report serializes")
         };
         let single = run_with(1);

@@ -124,21 +124,8 @@ impl ReferenceEngine {
         self.run_classified(router, workload, offered_per_cycle, None)
     }
 
-    /// As [`super::QueueingEngine::run_streamed`], by materializing
-    /// the source — the reference engine optimizes for obvious
-    /// correctness, not memory, so it pays the pair vector and reuses
-    /// the audited sequential path unchanged.
-    pub fn run_streamed(
-        &self,
-        router: &dyn Router,
-        source: &super::super::workload::WorkloadSource,
-        offered_per_cycle: f64,
-    ) -> QueueingReport {
-        self.run(router, &source.materialize(), offered_per_cycle)
-    }
-
-    /// As [`super::QueueingEngine::run_classified`], on the legacy hot
-    /// path.
+    /// As [`super::QueueingEngine::run_streamed_classified`] over an
+    /// explicit pair list, on the legacy hot path.
     pub fn run_classified(
         &self,
         router: &dyn Router,

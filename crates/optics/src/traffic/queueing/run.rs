@@ -4,11 +4,12 @@
 //! # Cycle anatomy
 //!
 //! 1. **Decode** (sequential): the offer clock admits this cycle's
-//!    slice of the workload. Pairs are pulled from the stream in index
-//!    order — regenerated chunk-by-chunk for a [`WorkloadSource`],
-//!    read in place for a slice — and appended to per-source pending
-//!    FIFOs in the entry slab. A source going nonempty is listed with
-//!    its owning inject worker.
+//!    slice of the workload. Pairs are pulled from the
+//!    [`WorkloadSource`] in index order, one resident chunk at a time
+//!    (regenerated for a generated source, copied out of an explicit
+//!    pair list), and appended to per-source pending FIFOs in the
+//!    entry slab. A source going nonempty is listed with its owning
+//!    inject worker.
 //! 2. **Inject** (sharded by *source* ownership): each worker walks
 //!    its listed sources, admitting every pending head it can. A
 //!    source's injection touches only its own out-arc channels (the
@@ -134,63 +135,41 @@ struct Watch {
     demand: AtomicU32,
 }
 
-/// What a run simulates: unicast `(src, dst)` pairs — materialized or
-/// streamed — or multicast delivery trees with in-fabric replication.
-/// The multicast variant flips the meaning of the report's packet
-/// counters to **destination leaves** (`injected_leaves = delivered +
-/// dropped + in_flight`), while everything structural — buffers, VC
-/// classes, backpressure, the deterministic sharded phases — is
-/// shared. `Streamed` and `Unicast` are *the same run* fed two ways:
-/// the decode step is the only consumer of either, so the reports are
-/// byte-identical (pinned by the differential battery).
+/// What a run simulates: unicast `(src, dst)` pairs, or multicast
+/// delivery trees with in-fabric replication. The multicast variant
+/// flips the meaning of the report's packet counters to **destination
+/// leaves** (`injected_leaves = delivered + dropped + in_flight`),
+/// while everything structural — buffers, VC classes, backpressure,
+/// the deterministic sharded phases — is shared.
 pub(super) enum Work<'a> {
-    Unicast(&'a [(u64, u64)]),
-    Streamed(&'a WorkloadSource),
+    Unicast(&'a WorkloadSource),
     Multicast(&'a TreeSet),
 }
 
-/// Where decode reads pairs: a materialized slice, or a chunked
-/// stream regenerating one `WorkloadSource::CHUNK` at a time. Decode
-/// consumes indices in ascending order, so the streamed feed holds
-/// exactly one resident chunk and never regenerates one twice.
-enum PairFeed<'a> {
-    Slice(&'a [(u64, u64)]),
-    Chunks {
-        source: &'a WorkloadSource,
-        buf: Vec<(u64, u64)>,
-        resident: usize,
-    },
-}
-
-impl PairFeed<'_> {
-    fn pair(&mut self, index: usize) -> (u64, u64) {
-        match self {
-            PairFeed::Slice(pairs) => pairs[index],
-            PairFeed::Chunks {
-                source,
-                buf,
-                resident,
-            } => {
-                let chunk = index / WorkloadSource::CHUNK;
-                if *resident != chunk {
-                    source.fill_chunk(chunk, buf);
-                    *resident = chunk;
-                }
-                buf[index - chunk * WorkloadSource::CHUNK]
-            }
-        }
-    }
-}
-
-/// The decode step's state: the pair feed, the offer-clock cursor,
-/// the pending-entry id supply, and the per-worker staging lists for
-/// sources that just went nonempty.
+/// The decode step's state: the workload with its one resident chunk,
+/// the offer-clock cursor, the pending-entry id supply, and the
+/// per-worker staging lists for sources that just went nonempty.
+/// Decode consumes indices in ascending order, so it never fills a
+/// chunk twice.
 struct Decoder<'a> {
-    feed: PairFeed<'a>,
-    total: usize,
+    source: &'a WorkloadSource,
+    chunk: Vec<(u64, u64)>,
+    /// Index of the chunk in `chunk` (`usize::MAX` before the first).
+    resident: usize,
     next: usize,
     entry_ids: ArenaAllocator,
     newly_listed: Vec<Vec<u32>>,
+}
+
+impl Decoder<'_> {
+    fn pair(&mut self, index: usize) -> (u64, u64) {
+        let chunk = index / WorkloadSource::CHUNK;
+        if self.resident != chunk {
+            self.source.fill_chunk(chunk, &mut self.chunk);
+            self.resident = chunk;
+        }
+        self.chunk[index - chunk * WorkloadSource::CHUNK]
+    }
 }
 
 /// A staged replication: one child copy to materialize at the apply
@@ -317,11 +296,10 @@ struct SharedRun<'a> {
     watches: &'a [Watch],
     /// What happens to packets a link death catches mid-queue.
     stranded_policy: StrandedPolicy,
-    /// The repairing router behind the epoch-snapshot fast path, when
-    /// legal: snapshot reads enabled on the engine, stateless hops
-    /// (adaptive scoring reads congestion, not the table), unicast
-    /// work, and a published snapshot to read. `None` sends every
-    /// next-hop query through the router's own (locked) path.
+    /// The repairing router behind the epoch-snapshot read path, when
+    /// legal: stateless hops (adaptive scoring reads congestion, not
+    /// the table), unicast work, and a published snapshot to read.
+    /// `None` sends every next-hop query through the router itself.
     repair: Option<&'a dyn RouteRepair>,
     cycle: AtomicU64,
     done: AtomicBool,
@@ -356,9 +334,9 @@ impl SharedRun<'_> {
     }
 
     /// One next-hop query on the phase hot path: through the worker's
-    /// cached epoch snapshot when the run routes snapshot reads
-    /// (lock-free, byte-identical to the router's table — repairs
-    /// republish only on the sequential slot), else the router itself.
+    /// cached epoch snapshot when the run has one (lock-free,
+    /// byte-identical to the router's table — repairs republish only
+    /// on the sequential slot), else the router itself.
     #[inline]
     fn route_query(
         &self,
@@ -408,7 +386,7 @@ struct WorkerScratch {
     /// The route snapshot this worker's inject and drain queries ride
     /// (see [`SharedRun::route_query`]), re-fetched at the top of each
     /// inject phase when the published epoch moved. `None` when the
-    /// run does not route snapshot reads.
+    /// run has no snapshot to read ([`SharedRun::repair`]).
     snapshot: Option<RouteSnapshot>,
     /// Epoch of the cached snapshot (0 = nothing fetched yet).
     snapshot_epoch_seen: u64,
@@ -609,26 +587,19 @@ pub(super) fn execute(
 
     // Injection items (pairs or groups) and the arena bound: a unicast
     // run never holds more copies than packets; a multicast run never
-    // holds more copies than tree arcs (each arc is crossed once).
-    let (feed, trees) = match work {
-        Work::Unicast(pairs) => (PairFeed::Slice(pairs), None),
-        Work::Streamed(source) => (
-            PairFeed::Chunks {
-                source,
-                buf: Vec::new(),
-                resident: usize::MAX,
-            },
-            None,
-        ),
+    // holds more copies than tree arcs (each arc is crossed once). A
+    // multicast run decodes nothing, so it reads an empty source.
+    let no_pairs = WorkloadSource::from_pairs(Vec::new());
+    let (source, trees) = match work {
+        Work::Unicast(source) => (source, None),
         Work::Multicast(set) => {
             assert!(hot_dst.is_none(), "multicast runs are unclassified");
-            (PairFeed::Slice(&[]), Some(set))
+            (&no_pairs, Some(set))
         }
     };
-    let (items, copy_bound) = match (&feed, trees) {
-        (_, Some(set)) => (set.group_count(), set.arc_count()),
-        (PairFeed::Slice(pairs), None) => (pairs.len(), pairs.len()),
-        (PairFeed::Chunks { source, .. }, None) => (source.len(), source.len()),
+    let (items, copy_bound) = match trees {
+        Some(set) => (set.group_count(), set.arc_count()),
+        None => (source.len(), source.len()),
     };
     // Headroom for ids parked in worker pools: live packets never
     // exceed `copy_bound`, but up to `threads · ID_BATCH` claimed ids
@@ -637,7 +608,7 @@ pub(super) fn execute(
 
     let arena = PacketArena::with_capacity(capacity);
     let allocator = Mutex::new(ArenaAllocator::new(capacity));
-    let entries = EntryArena::with_capacity(if trees.is_some() { 0 } else { items });
+    let entries = EntryArena::with_capacity(source.len());
     let queues = ChannelQueues::new(channels);
     let node_ready: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
     let active = DenseBitset::new(n as usize);
@@ -660,26 +631,25 @@ pub(super) fn execute(
     let bounds = shard_bounds(n as usize, threads);
     let stateless = trees.is_some() || router.hops_are_stateless();
 
-    // The epoch-snapshot fast path: drain/inject next-hop queries ride
+    // The epoch-snapshot read path: drain/inject next-hop queries ride
     // an immutable snapshot the repairing router publishes (refreshed
     // per worker per cycle, only when the epoch moved) instead of
     // taking the router's read lock on every query. Legal only for
     // stateless hops over unicast work — adaptive routers score
     // congestion, not the raw table, and multicast never queries the
     // router mid-run — and only when the router actually publishes.
-    let repair: Option<&dyn RouteRepair> =
-        (engine.snapshot_reads() && stateless && trees.is_none())
-            .then(|| router.as_repair())
-            .flatten()
-            .filter(|repair| repair.published_snapshot().is_some());
+    let repair: Option<&dyn RouteRepair> = (stateless && trees.is_none())
+        .then(|| router.as_repair())
+        .flatten()
+        .filter(|repair| repair.published_snapshot().is_some());
 
-    // Link dynamics: the timeline was compiled once at `set_dynamics`;
-    // seed every arc's capacity at full and open one time-to-reroute
-    // watch per scheduled death. A run without dynamics keeps
-    // `capacity: None` and zero watches, so none of the per-packet
-    // gates below ever fire and the static byte-for-byte behaviour is
-    // untouched.
-    let timeline: Option<&Timeline> = engine.dynamics().map(|(_, timeline)| timeline);
+    // Link dynamics: the timeline was compiled once when it was set on
+    // the engine; seed every arc's capacity at full and open one
+    // time-to-reroute watch per scheduled death. A run without
+    // dynamics keeps `capacity: None` and zero watches, so none of the
+    // per-packet gates below ever fire and the static byte-for-byte
+    // behaviour is untouched.
+    let timeline: Option<&Timeline> = engine.dynamics();
     let full_cap = u32::try_from(config.wavelengths).unwrap_or(u32::MAX);
     let capacity: Option<Vec<AtomicU32>> =
         timeline.map(|_| (0..arcs).map(|_| AtomicU32::new(full_cap)).collect());
@@ -800,8 +770,8 @@ pub(super) fn execute(
         repair_runs_patched: Vec::new(),
         repair_rows_patched: 0,
         // Publication accounting reads the router directly (not the
-        // gated `repair`), so the oracle mode — snapshot reads off —
-        // reports byte-identically to the fast path.
+        // gated `repair`), so whether a run reads snapshots never
+        // shows in its report.
         last_snapshot_epoch: router.as_repair().map_or(0, |r| r.snapshot_epoch()),
         snapshot_publications: 0,
         snapshot_runs_published: 0,
@@ -810,10 +780,11 @@ pub(super) fn execute(
     };
 
     let mut dec = Decoder {
-        feed,
-        total: if trees.is_some() { 0 } else { items },
+        source,
+        chunk: Vec::new(),
+        resident: usize::MAX,
         next: 0,
-        entry_ids: ArenaAllocator::new(if trees.is_some() { 0 } else { items }),
+        entry_ids: ArenaAllocator::new(source.len()),
         newly_listed: vec![Vec::new(); threads],
     };
 
@@ -1018,8 +989,8 @@ fn decode(
     // phase, and the scratch mutex hands over `newly_listed`.
     let cycle = main.cycle;
     let n = shared.g.node_count() as u64;
-    while dec.next < dec.total && offer_cycle(dec.next) <= cycle {
-        let (src, dst) = dec.feed.pair(dec.next);
+    while dec.next < dec.source.len() && offer_cycle(dec.next) <= cycle {
+        let (src, dst) = dec.pair(dec.next);
         assert!(
             src < n,
             "workload source {src} is not a fabric node (fabric has {n})"
@@ -2033,8 +2004,8 @@ fn apply_dynamics(
             repair.publish_deferred();
             // A patching batch republishes the epoch snapshot; an
             // all-no-op batch leaves the epoch alone. Counted off the
-            // router itself (not the gated fast path), so oracle-mode
-            // reports stay byte-identical.
+            // router itself (not the gated snapshot path), so a run
+            // that reads through the router reports identically.
             let epoch = repair.snapshot_epoch();
             if epoch != main.last_snapshot_epoch {
                 main.last_snapshot_epoch = epoch;

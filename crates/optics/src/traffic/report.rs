@@ -358,7 +358,7 @@ pub struct QueueingReport {
     /// BCube analysis. `0` for unicast runs.
     pub multicast_forwarding_index: u64,
     /// Hot-versus-background breakdown, present when the run was
-    /// classified (see `QueueingEngine::run_classified`): the
+    /// classified (see `QueueingEngine::run_streamed_classified`): the
     /// tree-saturation story made visible per traffic class.
     pub class_stats: Option<ClassBreakdown>,
     /// Link deaths applied (capacity transitions to zero). `0` for

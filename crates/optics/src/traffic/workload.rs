@@ -4,11 +4,13 @@
 //! Pairs are *defined* chunk-wise: [`WorkloadSource`] derives an
 //! independent RNG for every [`WorkloadSource::CHUNK`]-sized block of
 //! workload indices, so any chunk can be (re)generated in isolation —
-//! the streamed queueing engine decodes blocks as their injection
-//! credit accrues instead of materializing ten-million-pair vectors up
-//! front, and a sharded consumer gets byte-identical traffic at any
-//! thread count. [`generate_workload`] is the thin adapter that
-//! materializes the whole stream for small runs and tests.
+//! the queueing engine decodes blocks as their injection credit
+//! accrues instead of materializing ten-million-pair vectors up front,
+//! and a sharded consumer gets byte-identical traffic at any thread
+//! count. [`generate_workload`] is the thin adapter that materializes
+//! the whole stream for small runs and tests;
+//! [`WorkloadSource::from_pairs`] goes the other way, serving an
+//! explicit pair list through the same chunked interface.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,8 +91,8 @@ impl TrafficPattern {
     /// The hot destination of this pattern on an `n`-node fabric:
     /// `Some(n/2)` for [`TrafficPattern::Hotspot`] (the node a quarter
     /// of all packets target), `None` for every pattern without one.
-    /// Feed it to `QueueingEngine::run_classified` to split the
-    /// queueing report into hot and background classes.
+    /// Feed it to `QueueingEngine::run_streamed_classified` to split
+    /// the queueing report into hot and background classes.
     pub fn hot_node(&self, n: u64) -> Option<u64> {
         match self {
             TrafficPattern::Hotspot => Some(n / 2),
@@ -219,26 +221,40 @@ pub(crate) fn digit_transpose(value: u64, d: u64, digits: u32) -> u64 {
     low * high_modulus + high
 }
 
-/// A chunked, seed-splittable unicast workload: the `i`-th pair of
-/// pattern × seed, generatable one [`WorkloadSource::CHUNK`]-sized
-/// block at a time.
+/// A chunked unicast workload: the `i`-th `(src, dst)` pair, served
+/// one [`WorkloadSource::CHUNK`]-sized block at a time — the single
+/// feed every unicast queueing run decodes from.
 ///
-/// Every chunk derives its own RNG from `(seed, chunk index)`, so the
-/// pair sequence is a pure function of the workload index — chunk 7
-/// can be decoded without touching chunks 0–6, decoded twice, or
-/// decoded on another thread, always yielding the same pairs. This is
-/// what lets the queueing engine stream ten-million-packet workloads
-/// (one live chunk buffer instead of a 160 MB pair vector) while its
-/// reports stay byte-identical to the materialized path at any thread
-/// count. The only whole-workload state is the [`Permutation`]
-/// pattern's image table, built lazily once from the base seed.
+/// A generated source ([`WorkloadSource::new`]) samples pattern ×
+/// seed, and every chunk derives its own RNG from `(seed, chunk
+/// index)`, so the pair sequence is a pure function of the workload
+/// index — chunk 7 can be decoded without touching chunks 0–6,
+/// decoded twice, or decoded on another thread, always yielding the
+/// same pairs. This is what lets the queueing engine stream
+/// ten-million-packet workloads (one live chunk buffer instead of a
+/// 160 MB pair vector) while its reports stay byte-identical to the
+/// explicit-pairs source ([`WorkloadSource::from_pairs`]) of the same
+/// pairs at any thread count. The only whole-workload state is the
+/// [`Permutation`] pattern's image table, built lazily once from the
+/// base seed.
 ///
 /// [`Permutation`]: TrafficPattern::Permutation
 pub struct WorkloadSource {
+    packets: usize,
+    feed: Feed,
+}
+
+/// Where a source's pairs come from.
+enum Feed {
+    Generated(Generator),
+    Pairs(Vec<(u64, u64)>),
+}
+
+/// Pattern × seed, regenerated chunk by chunk.
+struct Generator {
     pattern: TrafficPattern,
     n: u64,
     d: u64,
-    packets: usize,
     seed: u64,
     /// Digit count for the digit-structured patterns (0 otherwise).
     digits: u32,
@@ -250,6 +266,18 @@ impl WorkloadSource {
     /// Workload indices per chunk — the granularity of independent
     /// regeneration (64Ki pairs ≈ 1 MiB materialized).
     pub const CHUNK: usize = 1 << 16;
+
+    /// An explicit pair list behind the chunked interface: chunk `c`
+    /// is the slice at [`Self::chunk_bounds`]`(c)`. Endpoints are not
+    /// checked here: the queueing engine requires every `src` to be a
+    /// fabric node and drops off-fabric destinations as unroutable.
+    pub fn from_pairs(pairs: impl Into<Vec<(u64, u64)>>) -> Self {
+        let pairs = pairs.into();
+        WorkloadSource {
+            packets: pairs.len(),
+            feed: Feed::Pairs(pairs),
+        }
+    }
 
     /// A `packets`-pair workload over `0..n` for a unicast pattern.
     /// `d` is the fabric's alphabet (used by the digit-structured
@@ -281,13 +309,15 @@ impl WorkloadSource {
             0
         };
         WorkloadSource {
-            pattern,
-            n,
-            d,
             packets,
-            seed,
-            digits,
-            images: OnceLock::new(),
+            feed: Feed::Generated(Generator {
+                pattern,
+                n,
+                d,
+                seed,
+                digits,
+                images: OnceLock::new(),
+            }),
         }
     }
 
@@ -299,16 +329,6 @@ impl WorkloadSource {
     /// True iff the stream has no pairs.
     pub fn is_empty(&self) -> bool {
         self.packets == 0
-    }
-
-    /// The pattern this stream samples.
-    pub fn pattern(&self) -> TrafficPattern {
-        self.pattern
-    }
-
-    /// The node-id universe (`src` and generated `dst` are `< n`).
-    pub fn node_count(&self) -> u64 {
-        self.n
     }
 
     /// Number of chunks ([`Self::CHUNK`] indices each, last partial).
@@ -323,6 +343,34 @@ impl WorkloadSource {
         start..end.max(start)
     }
 
+    /// Decode `chunk` into `out` (cleared first): the pairs at
+    /// workload indices [`Self::chunk_bounds`], in index order.
+    pub fn fill_chunk(&self, chunk: usize, out: &mut Vec<(u64, u64)>) {
+        out.clear();
+        let range = self.chunk_bounds(chunk);
+        if range.is_empty() {
+            return;
+        }
+        match &self.feed {
+            Feed::Pairs(pairs) => out.extend_from_slice(&pairs[range]),
+            Feed::Generated(generator) => generator.fill(chunk, range, out),
+        }
+    }
+
+    /// Materialize the whole stream — the small-run/test adapter
+    /// behind [`generate_workload`].
+    pub fn materialize(&self) -> Vec<(u64, u64)> {
+        let mut pairs = Vec::with_capacity(self.packets);
+        let mut chunk_buf = Vec::new();
+        for chunk in 0..self.chunk_count() {
+            self.fill_chunk(chunk, &mut chunk_buf);
+            pairs.extend_from_slice(&chunk_buf);
+        }
+        pairs
+    }
+}
+
+impl Generator {
     /// The chunk's independent RNG: any injective map of
     /// `(seed, chunk)` works — SplitMix64 seeding scrambles it.
     fn chunk_rng(&self, chunk: usize) -> StdRng {
@@ -342,14 +390,9 @@ impl WorkloadSource {
         })
     }
 
-    /// Decode `chunk` into `out` (cleared first): the pairs at
-    /// workload indices [`Self::chunk_bounds`], in index order.
-    pub fn fill_chunk(&self, chunk: usize, out: &mut Vec<(u64, u64)>) {
-        out.clear();
-        let range = self.chunk_bounds(chunk);
-        if range.is_empty() {
-            return;
-        }
+    /// Append the pairs at workload indices `range` (chunk `chunk`'s
+    /// bounds) to `out`.
+    fn fill(&self, chunk: usize, range: std::ops::Range<usize>, out: &mut Vec<(u64, u64)>) {
         out.reserve(range.len());
         let n = self.n;
         let draw_other = |rng: &mut StdRng, src: u64| loop {
@@ -422,18 +465,6 @@ impl WorkloadSource {
                 unreachable!("multicast patterns rejected at construction")
             }
         }
-    }
-
-    /// Materialize the whole stream — the small-run/test adapter
-    /// behind [`generate_workload`].
-    pub fn materialize(&self) -> Vec<(u64, u64)> {
-        let mut pairs = Vec::with_capacity(self.packets);
-        let mut chunk_buf = Vec::new();
-        for chunk in 0..self.chunk_count() {
-            self.fill_chunk(chunk, &mut chunk_buf);
-            pairs.extend_from_slice(&chunk_buf);
-        }
-        pairs
     }
 }
 
@@ -583,6 +614,29 @@ mod tests {
                 assert_ne!(other.materialize(), whole, "{pattern}");
             }
         }
+        // An explicit pair list serves the same chunks: the chunk
+        // straddling index CHUNK splits exactly at the boundary, and
+        // past-the-end chunks decode empty.
+        let pairs: Vec<(u64, u64)> = (0..WorkloadSource::CHUNK as u64 + 5)
+            .map(|i| (i % n, i.wrapping_mul(7) % n))
+            .collect();
+        let explicit = WorkloadSource::from_pairs(&pairs[..]);
+        assert_eq!(explicit.len(), pairs.len());
+        assert_eq!(explicit.chunk_count(), 2);
+        let mut buf = Vec::new();
+        for chunk in [1usize, 0, 1] {
+            explicit.fill_chunk(chunk, &mut buf);
+            assert_eq!(
+                buf[..],
+                pairs[explicit.chunk_bounds(chunk)],
+                "chunk {chunk}"
+            );
+        }
+        assert_eq!(buf.len(), 5, "the partial tail chunk");
+        explicit.fill_chunk(2, &mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(explicit.materialize(), pairs);
+        assert!(WorkloadSource::from_pairs(Vec::new()).is_empty());
     }
 
     #[test]

@@ -7,16 +7,36 @@
 //! lossless with `vcs = 2` dateline channels.
 
 use otis_core::{
-    AdaptiveRouter, DeBruijn, DeBruijnRouter, DigraphFamily, ImaseItoh, Kautz, Router,
-    RoutingTable, Rrk,
+    AdaptiveRouter, DeBruijn, DeBruijnRouter, DigraphFamily, DynamicRoutingTable, ImaseItoh, Kautz,
+    RankedCandidates, RouteRepair, RouteSnapshot, Router, RoutingTable, Rrk,
 };
 use otis_digraph::Digraph;
-use otis_optics::faults::{surviving_digraph, FaultAwareRouter, FaultSet};
+use otis_optics::faults::{surviving_digraph, FaultSet};
 use otis_optics::traffic::{
     generate_multicast_workload, generate_workload, ReferenceEngine, TrafficPattern,
 };
-use otis_optics::{ContentionPolicy, HDigraph, QueueConfig, QueueingEngine, WorkloadSource};
+use otis_optics::{
+    ContentionPolicy, HDigraph, QueueConfig, QueueingEngine, StrandedPolicy, WorkloadSource,
+};
 use proptest::prelude::*;
+
+/// The fault-aware router: the repairable table over the full fabric
+/// with `faults`' beams dead.
+fn fault_table(h: &HDigraph, faults: &FaultSet) -> DynamicRoutingTable {
+    DynamicRoutingTable::with_dead_arcs(
+        &surviving_digraph(h, &FaultSet::none()),
+        &faults.dead_arcs(h),
+        h.name(),
+    )
+}
+
+/// Arm `spec`'s link dynamics on an engine routed in its own
+/// numbering.
+fn arm(engine: &mut QueueingEngine, spec: &str, stranded: StrandedPolicy) {
+    engine
+        .try_set_dynamics_relabeled(spec.parse().expect("valid spec"), stranded, None)
+        .expect("spec compiles against the fabric");
+}
 
 /// Run a workload through the queueing engine and assert the core
 /// invariants every configuration must uphold: packet conservation
@@ -187,7 +207,7 @@ proptest! {
             ..FaultSet::none()
         };
         let survivors = surviving_digraph(&h, &faults);
-        let router = FaultAwareRouter::new(&h, faults.clone());
+        let router = fault_table(&h, &faults);
         let n = h.node_count();
         let workload = generate_workload(TrafficPattern::Uniform, n, 2, 300, seed);
         let config = config_from(buffers, 1, vcs, tail_drop);
@@ -196,8 +216,7 @@ proptest! {
         // the surviving table, so no packet is ever offered a dead
         // beam; conservation must hold all the same.
         let engine = QueueingEngine::new(survivors, config);
-        let adaptive = FaultAwareRouter::new(&h, faults)
-            .adaptive(engine.occupancy())
+        let adaptive = AdaptiveRouter::new(fault_table(&h, &faults), engine.occupancy())
             .with_dateline(engine.dateline());
         let report = engine.run(&adaptive, &workload, 0.3 * n as f64);
         prop_assert!(report.conserves_packets(), "{report:?}");
@@ -334,7 +353,7 @@ fn vcs_2_complete_the_b28_hotspot_run_that_deadlocks_at_vcs_1() {
 fn backpressure_sweep_sustains_loads_past_the_old_deadlock_point() {
     let b = DeBruijn::new(2, 8);
     let n = b.node_count();
-    let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 8_000, 7);
+    let source = WorkloadSource::new(TrafficPattern::Hotspot, n, 2, 8_000, 7);
     let config = QueueConfig {
         buffers: 4,
         wavelengths: 1,
@@ -347,7 +366,7 @@ fn backpressure_sweep_sustains_loads_past_the_old_deadlock_point() {
     let engine = QueueingEngine::from_family(&b, config);
     let router = DeBruijnRouter::new(b);
     let loads = [0.02, 0.1, 0.5, 1.0];
-    let sweep = engine.saturation_sweep(&router, &workload, &loads);
+    let sweep = engine.saturation_sweep(&router, &source, &loads);
     for point in &sweep.points {
         assert!(
             !point.deadlocked,
@@ -359,7 +378,7 @@ fn backpressure_sweep_sustains_loads_past_the_old_deadlock_point() {
     // The same sweep at vcs = 1 wedges at its saturating points —
     // the "old deadlock point" the VC fabric rides past.
     let engine = QueueingEngine::from_family(&b, QueueConfig { vcs: 1, ..config });
-    let sweep = engine.saturation_sweep(&router, &workload, &loads);
+    let sweep = engine.saturation_sweep(&router, &source, &loads);
     assert!(
         sweep.points.iter().any(|p| p.deadlocked),
         "the single-channel sweep was expected to wedge somewhere"
@@ -417,7 +436,7 @@ fn hotspot_classes_split_the_tree_saturation_story() {
     let b = DeBruijn::new(2, 6);
     let n = b.node_count(); // 64
     let pattern = TrafficPattern::Hotspot;
-    let workload = generate_workload(pattern, n, 2, 40_000, 11);
+    let source = WorkloadSource::new(pattern, n, 2, 40_000, 11);
     let hot = pattern.hot_node(n).expect("hotspot has a hot node");
     // Offered so that only the hot in-tree saturates: the hot node
     // accepts 2 packets/cycle against 0.25 · 16 = 4/cycle offered,
@@ -435,7 +454,7 @@ fn hotspot_classes_split_the_tree_saturation_story() {
     };
     let engine = QueueingEngine::from_family(&b, config);
     let router = RoutingTable::from_family(&b);
-    let report = engine.run_classified(&router, &workload, 0.25 * n as f64, Some(hot));
+    let report = engine.run_streamed_classified(&router, &source, 0.25 * n as f64, Some(hot));
     assert!(report.conserves_packets());
     // Tail-drop never blocks, so it gets no dateline relief and its
     // buffer caps hold exactly, even with multiple VCs at saturation.
@@ -546,7 +565,7 @@ fn adaptive_beats_oblivious_on_saturated_hotspot() {
 fn hotspot_sweep_saturates() {
     let b = DeBruijn::new(2, 6);
     let n = b.node_count(); // 64
-    let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 50_000, 9);
+    let source = WorkloadSource::new(TrafficPattern::Hotspot, n, 2, 50_000, 9);
     let config = QueueConfig {
         buffers: 16,
         wavelengths: 1,
@@ -558,7 +577,7 @@ fn hotspot_sweep_saturates() {
     };
     let engine = QueueingEngine::from_family(&b, config);
     let router = RoutingTable::from_family(&b);
-    let sweep = engine.saturation_sweep(&router, &workload, &[0.01, 0.05, 0.2, 0.5, 1.0]);
+    let sweep = engine.saturation_sweep(&router, &source, &[0.01, 0.05, 0.2, 0.5, 1.0]);
     let saturation = sweep.saturation_throughput_per_node();
     assert!(saturation > 0.0);
     // Low load delivers what it offers...
@@ -580,7 +599,7 @@ fn hotspot_sweep_saturates() {
     );
 }
 
-/// Adaptive routing composed through `FaultAwareRouter`: on a degraded
+/// Adaptive routing over the fault-aware table: on a degraded
 /// fabric every adaptive choice must still ride surviving beams only,
 /// so no packet is ever dropped as unroutable mid-flight when the
 /// surviving digraph is strongly connected.
@@ -607,8 +626,7 @@ fn adaptive_on_faulted_fabric_uses_only_surviving_beams() {
         max_cycles: 100_000,
     };
     let engine = QueueingEngine::new(survivors, config);
-    let adaptive = FaultAwareRouter::new(&h, faults)
-        .adaptive(engine.occupancy())
+    let adaptive = AdaptiveRouter::new(fault_table(&h, &faults), engine.occupancy())
         .with_dateline(engine.dateline());
     let report = engine.run(&adaptive, &workload, 0.2 * n as f64);
     assert!(report.conserves_packets());
@@ -642,7 +660,7 @@ proptest! {
         let b = DeBruijn::new(2, dim);
         let n = b.node_count();
         let pattern = TrafficPattern::Hotspot;
-        let workload = generate_workload(pattern, n, 2, 400, seed);
+        let source = WorkloadSource::new(pattern, n, 2, 400, seed);
         let hot = pattern.hot_node(n);
         let report_at = |threads: usize| {
             let config = QueueConfig {
@@ -662,9 +680,10 @@ proptest! {
             let report = if adaptive {
                 let router = AdaptiveRouter::new(DeBruijnRouter::new(b), engine.occupancy())
                     .with_dateline(engine.dateline());
-                engine.run_classified(&router, &workload, 0.5 * n as f64, hot)
+                engine.run_streamed_classified(&router, &source, 0.5 * n as f64, hot)
             } else {
-                engine.run_classified(&DeBruijnRouter::new(b), &workload, 0.5 * n as f64, hot)
+                let router = DeBruijnRouter::new(b);
+                engine.run_streamed_classified(&router, &source, 0.5 * n as f64, hot)
             };
             serde_json::to_string(&report).expect("report serializes")
         };
@@ -1098,9 +1117,9 @@ proptest! {
 
     /// Streaming is a memory optimization, not a semantics change:
     /// regenerating the workload chunk by chunk inside the engine must
-    /// yield a byte-identical report to materializing the same source
-    /// up front — at 1, 2 and 8 drain threads, oblivious and adaptive,
-    /// both policies, across VC counts.
+    /// yield a byte-identical report to feeding the same pairs as an
+    /// explicit list — at 1, 2 and 8 drain threads, oblivious and
+    /// adaptive, both policies, across VC counts.
     #[test]
     fn streamed_run_is_byte_identical_to_materialized(
         dim in 3u32..6,
@@ -1114,7 +1133,7 @@ proptest! {
         let n = b.node_count();
         let pattern = TrafficPattern::Hotspot;
         let source = WorkloadSource::new(pattern, n, 2, 500, seed);
-        let materialized = source.materialize();
+        let materialized = WorkloadSource::from_pairs(source.materialize());
         prop_assert_eq!(materialized.len(), source.len());
         let hot = pattern.hot_node(n);
         for threads in [1usize, 2, 8] {
@@ -1132,30 +1151,22 @@ proptest! {
                 drain_threads: threads,
             };
             let offered = 0.5 * n as f64;
-            let run = |streamed: bool| -> String {
+            let run = |feed: &WorkloadSource| -> String {
                 let engine = QueueingEngine::from_family(&b, config);
                 let report = if adaptive {
                     let router = AdaptiveRouter::new(DeBruijnRouter::new(b), engine.occupancy())
                         .with_dateline(engine.dateline());
-                    if streamed {
-                        engine.run_streamed_classified(&router, &source, offered, hot)
-                    } else {
-                        engine.run_classified(&router, &materialized, offered, hot)
-                    }
+                    engine.run_streamed_classified(&router, feed, offered, hot)
                 } else {
                     let router = DeBruijnRouter::new(b);
-                    if streamed {
-                        engine.run_streamed_classified(&router, &source, offered, hot)
-                    } else {
-                        engine.run_classified(&router, &materialized, offered, hot)
-                    }
+                    engine.run_streamed_classified(&router, feed, offered, hot)
                 };
                 serde_json::to_string(&report).expect("report serializes")
             };
             prop_assert_eq!(
-                run(true),
-                run(false),
-                "streamed diverged from materialized at {} drain threads",
+                run(&source),
+                run(&materialized),
+                "streamed diverged from explicit pairs at {} drain threads",
                 threads
             );
         }
@@ -1185,8 +1196,9 @@ fn streamed_chunk_seam_is_invisible_to_the_report() {
     let engine = QueueingEngine::from_family(&b, config);
     let router = DeBruijnRouter::new(b);
     let offered = 0.5 * n as f64;
-    let streamed = engine.run_streamed(&router, &source, offered);
-    let batched = engine.run(&router, &materialized, offered);
+    let streamed = engine.run_streamed_classified(&router, &source, offered, None);
+    let explicit = WorkloadSource::from_pairs(&materialized[..]);
+    let batched = engine.run_streamed_classified(&router, &explicit, offered, None);
     assert_eq!(
         serde_json::to_string(&streamed).expect("serializes"),
         serde_json::to_string(&batched).expect("serializes"),
@@ -1224,9 +1236,6 @@ fn streamed_chunk_seam_is_invisible_to_the_report() {
 // reroute with incremental next-hop repair.
 // ---------------------------------------------------------------
 
-use otis_core::DynamicRoutingTable;
-use otis_optics::{DynamicsSpec, StrandedPolicy};
-
 /// The tentpole acceptance run: a B(2,10) hotspot workload survives a
 /// mid-run failure storm across a transceiver-plane slice plus a
 /// single-beam fade on the hot in-tree. Routing repairs online
@@ -1239,7 +1248,7 @@ fn mid_run_storm_on_b210_hotspot_reroutes_and_delivers() {
     let b = DeBruijn::new(2, 10);
     let n = b.node_count();
     let g = b.digraph();
-    let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 6_000, 11);
+    let source = WorkloadSource::new(TrafficPattern::Hotspot, n, 2, 6_000, 11);
     let config = QueueConfig {
         buffers: 4,
         wavelengths: 1,
@@ -1255,12 +1264,13 @@ fn mid_run_storm_on_b210_hotspot_reroutes_and_delivers() {
     // fades to zero for 100 cycles (its sibling 256 → 513 survives,
     // so the stranded hot traffic has somewhere to go); plus one
     // flapping beam elsewhere.
-    let spec: DynamicsSpec = "storm@40:300-303:120,fade@50:256>512:0:100,flap@60:7>14:10:10:3"
-        .parse()
-        .expect("valid dynamics spec");
-    engine.set_dynamics(spec, StrandedPolicy::Reinject);
+    arm(
+        &mut engine,
+        "storm@40:300-303:120,fade@50:256>512:0:100,flap@60:7>14:10:10:3",
+        StrandedPolicy::Reinject,
+    );
     let router = DynamicRoutingTable::new(&g);
-    let report = engine.run_classified(&router, &workload, 0.4 * n as f64, Some(n / 2));
+    let report = engine.run_streamed_classified(&router, &source, 0.4 * n as f64, Some(n / 2));
 
     assert!(!report.deadlocked, "{report:?}");
     assert!(report.dynamics_consistent(), "{report:?}");
@@ -1313,7 +1323,7 @@ fn heads_blocked_behind_a_dying_beam_deroute_instead_of_wedging() {
     let b = DeBruijn::new(2, 8);
     let n = b.node_count();
     let g = b.digraph();
-    let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 4_000, 3);
+    let source = WorkloadSource::new(TrafficPattern::Hotspot, n, 2, 4_000, 3);
     let config = QueueConfig {
         buffers: 2,
         wavelengths: 1,
@@ -1325,9 +1335,9 @@ fn heads_blocked_behind_a_dying_beam_deroute_instead_of_wedging() {
     };
     for policy in [StrandedPolicy::Reinject, StrandedPolicy::Drop] {
         let mut engine = QueueingEngine::new(g.clone(), config);
-        engine.set_dynamics("fade@30:64>128".parse().expect("valid spec"), policy);
+        arm(&mut engine, "fade@30:64>128", policy);
         let router = DynamicRoutingTable::new(&g);
-        let report = engine.run_classified(&router, &workload, 0.5 * n as f64, Some(n / 2));
+        let report = engine.run_streamed_classified(&router, &source, 0.5 * n as f64, Some(n / 2));
         assert!(!report.deadlocked, "{policy:?}: wedged — {report:?}");
         assert!(report.cycles < config.max_cycles, "{policy:?}: spun out");
         assert!(report.dynamics_consistent(), "{policy:?}: {report:?}");
@@ -1368,10 +1378,7 @@ fn unfired_timeline_reproduces_the_static_report_at_1_2_8_threads() {
         let baseline =
             QueueingEngine::new(g.clone(), config).run(&router, &workload, 0.4 * n as f64);
         let mut engine = QueueingEngine::new(g.clone(), config);
-        engine.set_dynamics(
-            "fade@900000:0>1:0:5".parse().expect("valid spec"),
-            StrandedPolicy::Reinject,
-        );
+        arm(&mut engine, "fade@900000:0>1:0:5", StrandedPolicy::Reinject);
         let report = engine.run(&router, &workload, 0.4 * n as f64);
         assert_eq!(baseline, report, "threads={threads}");
     }
@@ -1387,7 +1394,7 @@ fn dynamics_reports_are_thread_invariant() {
     let b = DeBruijn::new(2, 8);
     let n = b.node_count();
     let g = b.digraph();
-    let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 4_000, 23);
+    let source = WorkloadSource::new(TrafficPattern::Hotspot, n, 2, 4_000, 23);
     let run = |threads: usize| {
         let config = QueueConfig {
             buffers: 4,
@@ -1399,20 +1406,77 @@ fn dynamics_reports_are_thread_invariant() {
             max_cycles: 100_000,
         };
         let mut engine = QueueingEngine::new(g.clone(), config);
-        engine.set_dynamics(
-            "storm@25:100-101:60,fade@45:64>128:0:90"
-                .parse()
-                .expect("valid spec"),
+        arm(
+            &mut engine,
+            "storm@25:100-101:60,fade@45:64>128:0:90",
             StrandedPolicy::Reinject,
         );
         // Fresh router per run: repair mutates it.
         let router = DynamicRoutingTable::new(&g);
-        engine.run_classified(&router, &workload, 0.5 * n as f64, Some(n / 2))
+        engine.run_streamed_classified(&router, &source, 0.5 * n as f64, Some(n / 2))
     };
     let single = run(1);
     assert!(single.link_down_events > 0 && single.dynamics_consistent());
     assert_eq!(single, run(2), "2 threads diverged");
     assert_eq!(single, run(8), "8 threads diverged");
+}
+
+/// The locked-read oracle: a dynamic table that repairs and counts
+/// publications as usual but offers no snapshot, so the engine sends
+/// every next-hop query through the table's own locked path.
+struct LockedReads(DynamicRoutingTable);
+
+impl Router for LockedReads {
+    fn node_count(&self) -> u64 {
+        self.0.node_count()
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
+        self.0.next_hop(current, dst)
+    }
+
+    fn ranked_candidates(&self, current: u64, dst: u64) -> RankedCandidates {
+        self.0.ranked_candidates(current, dst)
+    }
+
+    fn distance(&self, src: u64, dst: u64) -> Option<u64> {
+        self.0.distance(src, dst)
+    }
+
+    fn as_repair(&self) -> Option<&dyn RouteRepair> {
+        Some(self)
+    }
+}
+
+impl RouteRepair for LockedReads {
+    fn apply_link_event_deferred(
+        &self,
+        from: u64,
+        to: u64,
+        alive: bool,
+    ) -> otis_digraph::repair::RepairStats {
+        self.0.apply_link_event_deferred(from, to, alive)
+    }
+
+    fn publish_deferred(&self) {
+        self.0.publish_deferred();
+    }
+
+    fn repair_table_runs(&self) -> usize {
+        self.0.repair_table_runs()
+    }
+
+    fn snapshot_epoch(&self) -> u64 {
+        self.0.snapshot_epoch()
+    }
+
+    fn published_snapshot(&self) -> Option<RouteSnapshot> {
+        None
+    }
 }
 
 proptest! {
@@ -1437,11 +1501,9 @@ proptest! {
         let workload = generate_workload(TrafficPattern::Uniform, n, 2, 400, seed);
         let config = config_from(4, 1, 2, false);
         let mut engine = QueueingEngine::new(g.clone(), config);
-        let spec: DynamicsSpec = format!("randfades@{seed}:{fades}:{window}:{duration}")
-            .parse()
-            .expect("valid spec");
-        engine.set_dynamics(
-            spec,
+        arm(
+            &mut engine,
+            &format!("randfades@{seed}:{fades}:{window}:{duration}"),
             if reinject { StrandedPolicy::Reinject } else { StrandedPolicy::Drop },
         );
         let router = DynamicRoutingTable::new(&g);
@@ -1479,10 +1541,9 @@ proptest! {
         }
         dead.sort_unstable();
         dead.dedup();
-        let spec: DynamicsSpec = events.join(",").parse().expect("valid spec");
         let config = config_from(4, 1, 2, false);
         let mut engine = QueueingEngine::new(g.clone(), config);
-        engine.set_dynamics(spec, StrandedPolicy::Reinject);
+        arm(&mut engine, &events.join(","), StrandedPolicy::Reinject);
         let router = DynamicRoutingTable::new(&g);
         let report = engine.run(&router, &workload, 0.3 * n as f64);
         prop_assert!(report.dynamics_consistent(), "{report:?}");
@@ -1496,9 +1557,9 @@ proptest! {
     }
 
     /// The epoch-snapshot read path against its oracle: the same
-    /// random kill/revive timeline run with lock-free snapshot reads
-    /// (the default) and with `set_snapshot_reads(false)` — every
-    /// query through the router's own locked path — must produce
+    /// random kill/revive timeline run through the dynamic table
+    /// (lock-free snapshot reads) and through [`LockedReads`] (every
+    /// query through the table's own locked path) must produce
     /// byte-identical reports at 1, 2 and 8 drain threads. This is
     /// the differential that lets the engine erase the per-query
     /// RwLock without ever being able to change an answer.
@@ -1527,11 +1588,12 @@ proptest! {
                     max_cycles: 100_000,
                 };
                 let mut engine = QueueingEngine::new(g.clone(), config);
-                engine.set_dynamics(spec.parse().expect("valid spec"), StrandedPolicy::Reinject);
-                engine.set_snapshot_reads(snapshot_reads);
+                arm(&mut engine, &spec, StrandedPolicy::Reinject);
                 // Fresh router per run: repair mutates it.
-                let router = DynamicRoutingTable::new(&g);
-                let report = engine.run(&router, &workload, 0.3 * n as f64);
+                let table = DynamicRoutingTable::new(&g);
+                let locked = LockedReads(DynamicRoutingTable::new(&g));
+                let router: &dyn Router = if snapshot_reads { &table } else { &locked };
+                let report = engine.run(router, &workload, 0.3 * n as f64);
                 prop_assert!(report.dynamics_consistent(), "{report:?}");
                 match &baseline {
                     None => baseline = Some(report),
@@ -1637,10 +1699,9 @@ fn same_beam_kill_revive_kill_leaves_no_stale_waiters() {
         };
         let mut engine = QueueingEngine::new(g.clone(), config);
         // Dead at 10, back at 40, dead again at 70 — permanently.
-        engine.set_dynamics(
-            "fade@10:64>128:0:40,fade@70:64>128"
-                .parse()
-                .expect("valid spec"),
+        arm(
+            &mut engine,
+            "fade@10:64>128:0:40,fade@70:64>128",
             StrandedPolicy::Reinject,
         );
         let router = DynamicRoutingTable::new(&g);
@@ -1677,7 +1738,7 @@ fn adaptive_over_dynamics_conserves_and_sees_fade_penalty() {
     let b = DeBruijn::new(2, 8);
     let n = b.node_count();
     let g = b.digraph();
-    let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 3_000, 5);
+    let source = WorkloadSource::new(TrafficPattern::Hotspot, n, 2, 3_000, 5);
     let config = QueueConfig {
         buffers: 4,
         wavelengths: 2,
@@ -1688,15 +1749,14 @@ fn adaptive_over_dynamics_conserves_and_sees_fade_penalty() {
         max_cycles: 100_000,
     };
     let mut engine = QueueingEngine::new(g.clone(), config);
-    engine.set_dynamics(
-        "fade@20:64>128:1:200,storm@60:40-41:50"
-            .parse()
-            .expect("valid spec"),
+    arm(
+        &mut engine,
+        "fade@20:64>128:1:200,storm@60:40-41:50",
         StrandedPolicy::Reinject,
     );
     let adaptive = AdaptiveRouter::new(DynamicRoutingTable::new(&g), engine.occupancy())
         .with_dateline(engine.dateline());
-    let report = engine.run_classified(&adaptive, &workload, 0.4 * n as f64, Some(n / 2));
+    let report = engine.run_streamed_classified(&adaptive, &source, 0.4 * n as f64, Some(n / 2));
     assert!(!report.deadlocked, "{report:?}");
     assert!(report.dynamics_consistent(), "{report:?}");
     assert_eq!(report.in_flight, 0);

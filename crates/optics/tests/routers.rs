@@ -7,13 +7,23 @@
 //! distance, and walks real arcs of the digraph it routes over.
 
 use otis_core::{
-    BfsRouter, DeBruijn, DeBruijnRouter, DigraphFamily, ImaseItoh, Kautz, KautzRouter, Router,
-    RoutingTable, Rrk,
+    BfsRouter, DeBruijn, DeBruijnRouter, DigraphFamily, DynamicRoutingTable, ImaseItoh, Kautz,
+    KautzRouter, Router, RoutingTable, Rrk,
 };
 use otis_digraph::{bfs, Digraph, INFINITY};
-use otis_optics::faults::{surviving_digraph, FaultAwareRouter, FaultSet};
+use otis_optics::faults::{surviving_digraph, FaultSet};
 use otis_optics::HDigraph;
 use proptest::prelude::*;
+
+/// The fault-aware router: the repairable table over the full fabric
+/// with `faults`' beams dead.
+fn fault_table(h: &HDigraph, faults: &FaultSet) -> DynamicRoutingTable {
+    DynamicRoutingTable::with_dead_arcs(
+        &surviving_digraph(h, &FaultSet::none()),
+        &faults.dead_arcs(h),
+        h.name(),
+    )
+}
 
 /// Check one router against BFS on `g` for a sampled pair, returning
 /// an error message on disagreement (proptest-friendly).
@@ -127,7 +137,7 @@ proptest! {
             ..FaultSet::none()
         };
         let survivors = surviving_digraph(&h, &faults);
-        let router = FaultAwareRouter::new(&h, faults);
+        let router = fault_table(&h, &faults);
         let n = h.node_count();
         let src = seed % n;
         let dst = (seed >> 17) % n;
@@ -183,7 +193,7 @@ fn fault_aware_router_on_disconnected_fabric() {
         ..FaultSet::none()
     };
     let survivors = surviving_digraph(&h, &faults);
-    let router = FaultAwareRouter::new(&h, faults);
+    let router = fault_table(&h, &faults);
     let mut delivered = 0u32;
     let mut refused = 0u32;
     for src in (0..h.node_count()).step_by(3) {

@@ -12,8 +12,9 @@
 //!
 //! Run with: `cargo run --release --example network_simulation [packets] [pattern]`
 
-use otis::core::{DeBruijn, DigraphFamily, Router, RoutingTable};
+use otis::core::{DeBruijn, DigraphFamily, DynamicRoutingTable, Router, RoutingTable};
 use otis::layout::LayoutSpec;
+use otis::optics::faults::{surviving_digraph, FaultSet};
 use otis::optics::simulator::OtisSimulator;
 use otis::optics::traffic::{generate_workload, TrafficEngine, TrafficPattern, TrafficReport};
 
@@ -164,12 +165,18 @@ fn main() {
 
     // ---- fault injection through the same engine --------------------------
     // Kill a transmitter and re-run on the degraded balanced fabric:
-    // the fault-aware router recomputes and still delivers everything.
-    let faults = otis::optics::faults::FaultSet {
+    // the repairable table, built with the dead beam down, routes on
+    // shortest surviving paths and still delivers everything.
+    let h = balanced.sim.h();
+    let faults = FaultSet {
         dead_transmitters: vec![42],
-        ..otis::optics::faults::FaultSet::none()
+        ..FaultSet::none()
     };
-    let fault_router = otis::optics::faults::FaultAwareRouter::new(balanced.sim.h(), faults);
+    let fault_router = DynamicRoutingTable::with_dead_arcs(
+        &surviving_digraph(h, &FaultSet::none()),
+        &faults.dead_arcs(h),
+        h.name(),
+    );
     let degraded = balanced.run_with(&fault_router, &workload_b);
     println!(
         "\nwith one dead transmitter ({}): {:.1}% delivered, mean hops {:.2} (was {:.2})",
