@@ -28,7 +28,9 @@ use otis_core::{
     RoutingTable,
 };
 use otis_optics::simulator::OtisSimulator;
-use otis_optics::traffic::{generate_workload, ReferenceEngine, TrafficEngine, TrafficPattern};
+use otis_optics::traffic::{
+    generate_workload, ReferenceEngine, TrafficEngine, TrafficPattern, WorkloadSource,
+};
 use otis_optics::{ContentionPolicy, QueueConfig, QueueingEngine};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -118,7 +120,7 @@ fn bench_traffic_engine(c: &mut Criterion) {
         TrafficPattern::Transpose,
         TrafficPattern::Hotspot,
     ] {
-        let workload = generate_workload(pattern, n, 2, 10_000, 2);
+        let workload = WorkloadSource::from_pairs(generate_workload(pattern, n, 2, 10_000, 2));
         group.throughput(Throughput::Elements(workload.len() as u64));
         group.bench_with_input(
             BenchmarkId::new("run_10k", pattern.to_string()),

@@ -540,7 +540,7 @@ fn run_traffic_over<R: otis_core::Router>(
     );
 
     let run_start = std::time::Instant::now();
-    let report = engine.run_streamed(&router, source);
+    let report = engine.run(&router, source);
     let elapsed = run_start.elapsed();
 
     println!(
@@ -615,33 +615,7 @@ fn run_queueing_traffic<R: otis_core::Router>(
         oblivious = router;
         &oblivious
     };
-    println!(
-        "router: {} (built in {:.1} ms)",
-        routed.name(),
-        build_start.elapsed().as_secs_f64() * 1e3
-    );
-    println!(
-        "queueing: {} virtual channel(s) × {} buffers, {} wavelength(s) per link, {} on full buffers",
-        options.config.vcs,
-        options.config.buffers,
-        options.config.wavelengths,
-        match options.config.policy {
-            otis_optics::ContentionPolicy::Backpressure => "backpressure",
-            otis_optics::ContentionPolicy::TailDrop => "tail-drop",
-        }
-    );
-    if options.config.vcs >= 2 {
-        println!(
-            "dateline: {} wrap arcs of {}{}",
-            engine.dateline().wrap_arc_count(),
-            engine.link_count(),
-            match options.config.policy {
-                otis_optics::ContentionPolicy::Backpressure =>
-                    " — backpressure is deadlock-free by construction",
-                otis_optics::ContentionPolicy::TailDrop => "",
-            }
-        );
-    }
+    print_queueing_header(&engine, &options, &routed.name(), build_start);
 
     if options.dynamics.is_some() {
         println!(
@@ -684,16 +658,7 @@ fn run_queueing_traffic<R: otis_core::Router>(
     let run_start = std::time::Instant::now();
     let report = engine.run_streamed_classified(routed, source, offered, pattern.hot_node(n));
     let elapsed = run_start.elapsed();
-    if !report.dynamics_consistent() {
-        return Err(format!(
-            "conservation violated: {} injected ≠ {} delivered + {} dropped + {} in flight \
-             (or a dynamics counter broke its law) — this is an engine bug",
-            report.injected,
-            report.delivered,
-            report.dropped(),
-            report.in_flight
-        ));
-    }
+    check_conservation(&report)?;
     println!(
         "simulated {} {pattern} packets over {} cycles in {:.1} ms (offered {:.3}/node/cycle)",
         report.injected,
@@ -703,6 +668,59 @@ fn run_queueing_traffic<R: otis_core::Router>(
     );
     print_queueing_body(&report, &options, "packets");
     Ok(())
+}
+
+/// The header both queueing paths print: the router, the buffer and
+/// channel configuration, and the dateline wrap set.
+fn print_queueing_header(
+    engine: &otis_optics::QueueingEngine,
+    options: &TrafficOptions,
+    router: &str,
+    build_start: std::time::Instant,
+) {
+    println!(
+        "router: {router} (built in {:.1} ms)",
+        build_start.elapsed().as_secs_f64() * 1e3
+    );
+    println!(
+        "queueing: {} virtual channel(s) × {} buffers, {} wavelength(s) per link, {} on full buffers",
+        options.config.vcs,
+        options.config.buffers,
+        options.config.wavelengths,
+        match options.config.policy {
+            otis_optics::ContentionPolicy::Backpressure => "backpressure",
+            otis_optics::ContentionPolicy::TailDrop => "tail-drop",
+        }
+    );
+    if options.config.vcs >= 2 {
+        println!(
+            "dateline: {} wrap arcs of {}{}",
+            engine.dateline().wrap_arc_count(),
+            engine.link_count(),
+            match options.config.policy {
+                otis_optics::ContentionPolicy::Backpressure =>
+                    " — backpressure is deadlock-free by construction",
+                otis_optics::ContentionPolicy::TailDrop => "",
+            }
+        );
+    }
+}
+
+/// Refuse a report that breaks conservation (in packets or leaves) or
+/// any dynamics counter law, so a queueing run exits non-zero on an
+/// engine bug instead of printing it.
+fn check_conservation(report: &otis_optics::QueueingReport) -> Result<(), String> {
+    if report.dynamics_consistent() {
+        return Ok(());
+    }
+    Err(format!(
+        "conservation violated: {} injected ≠ {} delivered + {} dropped + {} in flight \
+         (or a dynamics counter broke its law) — this is an engine bug",
+        report.injected,
+        report.delivered,
+        report.dropped(),
+        report.in_flight
+    ))
 }
 
 /// The shared body of a queueing report printout; `unit` names what
@@ -857,37 +875,17 @@ fn run_queueing_multicast<R: otis_core::Router>(
 ) -> Result<(), String> {
     let n = otis_core::DigraphFamily::node_count(h);
     let engine = otis_optics::QueueingEngine::from_family(h, options.config);
-    println!(
-        "router: {} (built in {:.1} ms)",
-        otis_core::Router::name(&router),
-        build_start.elapsed().as_secs_f64() * 1e3
+    print_queueing_header(
+        &engine,
+        &options,
+        &otis_core::Router::name(&router),
+        build_start,
     );
-    println!(
-        "queueing: {} virtual channel(s) × {} buffers, {} wavelength(s) per link, {} on full buffers",
-        options.config.vcs,
-        options.config.buffers,
-        options.config.wavelengths,
-        match options.config.policy {
-            otis_optics::ContentionPolicy::Backpressure => "backpressure",
-            otis_optics::ContentionPolicy::TailDrop => "tail-drop",
-        }
-    );
-    if options.config.vcs >= 2 {
-        println!(
-            "dateline: {} wrap arcs of {}{}",
-            engine.dateline().wrap_arc_count(),
-            engine.link_count(),
-            match options.config.policy {
-                otis_optics::ContentionPolicy::Backpressure =>
-                    " — backpressure is deadlock-free by construction",
-                otis_optics::ContentionPolicy::TailDrop => "",
-            }
-        );
-    }
     let offered = options.load_per_node * n as f64;
     let run_start = std::time::Instant::now();
     let report = engine.run_multicast(&router, groups, offered);
     let elapsed = run_start.elapsed();
+    check_conservation(&report)?;
     println!(
         "simulated {} {pattern} trees ({} destination leaves) over {} cycles in {:.1} ms \
          (offered {:.3} trees/node/cycle)",

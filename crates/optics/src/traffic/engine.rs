@@ -97,8 +97,17 @@ impl<'a> TrafficEngine<'a> {
 
     /// Route a whole workload through `router`, in parallel, and
     /// aggregate per-link load, congestion, latency, energy and
-    /// delivery statistics.
-    pub fn run(&self, router: &dyn Router, workload: &[(u64, u64)]) -> TrafficReport {
+    /// delivery statistics. Workers take the source's
+    /// [`WorkloadSource::CHUNK`]-sized chunks, each decoded on its own
+    /// (a generated source regenerates it from the per-chunk RNG
+    /// split), so only the in-flight chunks are ever resident — a
+    /// million-packet workload costs each worker one chunk buffer, not
+    /// the 16 MB pair vector. Explicit pairs wrap in
+    /// [`WorkloadSource::from_pairs`] and chunk the same way, so a
+    /// generated source and its materialized pairs report identically,
+    /// energy total included. A workload under one chunk routes on one
+    /// worker.
+    pub fn run(&self, router: &dyn Router, source: &WorkloadSource) -> TrafficReport {
         let n = self.node_count();
         assert_eq!(
             router.node_count(),
@@ -106,37 +115,8 @@ impl<'a> TrafficEngine<'a> {
             "router covers {} nodes but the fabric has {n}",
             router.node_count()
         );
-        // Shard the workload; each worker owns a full link-load vector
-        // (links is small — n·d — so per-worker copies are cheap) and
-        // merges at the end.
-        const CHUNK: usize = 1024;
-        let chunks = workload.len().div_ceil(CHUNK);
-        let partials = par_map(chunks, 1, |chunk_index| {
-            let start = chunk_index * CHUNK;
-            let end = ((chunk_index + 1) * CHUNK).min(workload.len());
-            self.route_chunk(router, &workload[start..end])
-        });
-        self.collect(router, partials, workload.len())
-    }
-
-    /// As [`TrafficEngine::run`], fed by a streamed [`WorkloadSource`]:
-    /// workers regenerate the source's deterministic chunks
-    /// independently (the per-chunk RNG split makes that safe), so
-    /// only the in-flight chunks are ever resident — a million-packet
-    /// workload costs each worker one chunk buffer, not the 16 MB
-    /// pair vector. The report matches materializing the source and
-    /// calling [`TrafficEngine::run`] on every count, load and
-    /// latency figure exactly; only `energy_total_pj` may differ in
-    /// its last bits, because the two paths sum the same per-hop
-    /// energies in different chunk groupings.
-    pub fn run_streamed(&self, router: &dyn Router, source: &WorkloadSource) -> TrafficReport {
-        let n = self.node_count();
-        assert_eq!(
-            router.node_count(),
-            n,
-            "router covers {} nodes but the fabric has {n}",
-            router.node_count()
-        );
+        // Each worker owns a full link-load vector (links is small —
+        // n·d — so per-worker copies are cheap) and merges at the end.
         let partials = par_map(source.chunk_count(), 1, |chunk_index| {
             let mut pairs = Vec::new();
             source.fill_chunk(chunk_index, &mut pairs);
@@ -145,8 +125,7 @@ impl<'a> TrafficEngine<'a> {
         self.collect(router, partials, source.len())
     }
 
-    /// Route one shard of pairs into a fresh accumulator — the shared
-    /// core of the materialized and streamed paths.
+    /// Route one chunk of pairs into a fresh accumulator.
     fn route_chunk(&self, router: &dyn Router, pairs: &[(u64, u64)]) -> Partial {
         let links = self.neighbors.len();
         let hop_limit = (self.node_count() as usize).max(64);
@@ -436,7 +415,7 @@ mod tests {
         let (sim, workload) = engine_fixture();
         let engine = TrafficEngine::new(&sim);
         let router = RoutingTable::from_family(sim.h());
-        let report = engine.run(&router, &workload);
+        let report = engine.run(&router, &WorkloadSource::from_pairs(&workload[..]));
         assert_eq!(report.delivered, workload.len());
         assert_eq!(report.dropped, 0);
         assert_eq!(report.delivery_rate(), 1.0);
@@ -458,7 +437,7 @@ mod tests {
         let router = RoutingTable::from_family(sim.h());
         for (src, dst) in [(0u64, 15u64), (3, 9), (12, 1)] {
             let single = sim.send_via(&router, src, dst).unwrap();
-            let report = engine.run(&router, &[(src, dst)]);
+            let report = engine.run(&router, &WorkloadSource::from_pairs([(src, dst)]));
             assert_eq!(report.delivered, 1);
             assert_eq!(report.total_hops as usize, single.hop_count());
             assert!((report.latency_max_ps - single.latency_ps).abs() < 1e-9);
@@ -474,7 +453,7 @@ mod tests {
         let engine = TrafficEngine::new(&sim);
         let router = RoutingTable::from_family(sim.h());
 
-        let empty = engine.run(&router, &[]);
+        let empty = engine.run(&router, &WorkloadSource::from_pairs(Vec::new()));
         assert_eq!(empty.packets, 0);
         assert_eq!(empty.delivery_rate(), 1.0);
         assert_eq!(empty.latency_p50_ps, 0.0);
@@ -484,7 +463,7 @@ mod tests {
         assert_eq!(empty.mean_link_load(), 0.0);
         assert_eq!(empty.mean_energy_pj(), 0.0);
 
-        let single = engine.run(&router, &[(0, 15)]);
+        let single = engine.run(&router, &WorkloadSource::from_pairs([(0, 15)]));
         assert_eq!(single.delivered, 1);
         // With one sample every percentile IS that sample.
         assert_eq!(single.latency_p50_ps, single.latency_max_ps);
@@ -493,7 +472,7 @@ mod tests {
         assert!(single.latency_max_ps > 0.0);
 
         // A single self-pair: delivered with zero hops, zero latency.
-        let self_pair = engine.run(&router, &[(3, 3)]);
+        let self_pair = engine.run(&router, &WorkloadSource::from_pairs([(3, 3)]));
         assert_eq!(self_pair.delivered, 1);
         assert_eq!(self_pair.total_hops, 0);
         assert_eq!(self_pair.latency_max_ps, 0.0);
@@ -507,8 +486,8 @@ mod tests {
         let router = RoutingTable::from_family(sim.h());
         let hotspot = generate_workload(TrafficPattern::Hotspot, 64, 2, 4000, 3);
         let uniform = generate_workload(TrafficPattern::Uniform, 64, 2, 4000, 3);
-        let hot_report = engine.run(&router, &hotspot);
-        let uniform_report = engine.run(&router, &uniform);
+        let hot_report = engine.run(&router, &WorkloadSource::from_pairs(hotspot));
+        let uniform_report = engine.run(&router, &WorkloadSource::from_pairs(uniform));
         assert!(
             hot_report.max_link_load > uniform_report.max_link_load,
             "hotspot congestion {} should exceed uniform {}",
@@ -537,7 +516,10 @@ mod tests {
                 Some(otis_core::DigraphFamily::out_neighbor(&self.0, current, 0))
             }
         }
-        let report = engine.run(&FirstHopRouter(*sim.h()), &workload);
+        let report = engine.run(
+            &FirstHopRouter(*sim.h()),
+            &WorkloadSource::from_pairs(workload),
+        );
         assert!(
             report.dropped > 0,
             "blind forwarding must strand some packets"
@@ -597,7 +579,7 @@ mod tests {
                 dsts: vec![dst],
             })
             .collect();
-        let unicast = engine.run(&router, &workload);
+        let unicast = engine.run(&router, &WorkloadSource::from_pairs(&workload[..]));
         let multicast = engine.run_multicast(&router, &groups);
         assert_eq!(multicast.delivered_leaves, unicast.delivered);
         assert_eq!(multicast.tree_arcs, unicast.total_hops);
@@ -652,7 +634,10 @@ mod tests {
                 None
             }
         }
-        let report = engine.run(&NoRouter(16), &[(0, 5), (1, 1), (2, 9)]);
+        let report = engine.run(
+            &NoRouter(16),
+            &WorkloadSource::from_pairs([(0, 5), (1, 1), (2, 9)]),
+        );
         assert_eq!(report.delivered, 1, "only the self-pair needs no hops");
         assert_eq!(report.dropped, 2);
         assert!(report.delivery_rate() < 1.0);

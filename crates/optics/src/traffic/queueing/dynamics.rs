@@ -22,9 +22,9 @@
 //! | `fade@C:S>D:CAP` | capacity drops to `CAP` wavelengths at `C`, permanently |
 //! | `fade@C:S>D:CAP:DUR` | …and restores to full after `DUR` cycles |
 //! | `flap@C:S>D:UP:DOWN` | from `C`: dead `DOWN` cycles, alive `UP`, × 16 |
-//! | `flap@C:S>D:UP:DOWN:N` | …repeated `N` times instead |
+//! | `flap@C:S>D:UP:DOWN:N` | …repeated `N` times instead (`N` ≤ 2^20) |
 //! | `storm@C:LO-HI:DUR` | every out-link of nodes `LO..=HI` dies at `C` for `DUR` |
-//! | `randfades@SEED:N:WINDOW:DUR` | `N` seed-split random full fades, start < `WINDOW`, each `DUR` long |
+//! | `randfades@SEED:N:WINDOW:DUR` | `N` (≤ 2^20) seed-split random full fades, start < `WINDOW`, each `DUR` long |
 //!
 //! Examples: `fade@100:0>1`, `fade@50:3>6:1:200`,
 //! `flap@10:0>1:20:5`, `storm@500:0-63:250`,
@@ -143,9 +143,26 @@ pub struct DynamicsSpec {
 /// Flaps without an explicit repeat count run this many periods.
 const DEFAULT_FLAP_REPEATS: u64 = 16;
 
+/// The largest `flap` repeat count or `randfades` count a spec may ask
+/// for. Each repeat or fade compiles to two transitions, so an
+/// unbounded count would exhaust memory at compile time.
+const MAX_EVENT_COUNT: u64 = 1 << 20;
+
 fn parse_u64(raw: &str, what: &str, event: &str) -> Result<u64, String> {
     raw.parse::<u64>()
         .map_err(|_| format!("{event}: {what} must be a non-negative integer, got {raw:?}"))
+}
+
+/// [`parse_u64`] for a count that expands into transitions, capped at
+/// [`MAX_EVENT_COUNT`].
+fn parse_count(raw: &str, what: &str, event: &str) -> Result<u64, String> {
+    let count = parse_u64(raw, what, event)?;
+    if count > MAX_EVENT_COUNT {
+        return Err(format!(
+            "{event}: {what} {count} exceeds the limit of {MAX_EVENT_COUNT}"
+        ));
+    }
+    Ok(count)
 }
 
 /// `S>D` → `(S, D)`.
@@ -231,7 +248,7 @@ impl FromStr for DynamicsSpec {
                         up,
                         down,
                         repeats: match fields.get(4) {
-                            Some(n) => parse_u64(n, "repeat count", part)?,
+                            Some(n) => parse_count(n, "repeat count", part)?,
                             None => DEFAULT_FLAP_REPEATS,
                         },
                     }
@@ -267,7 +284,7 @@ impl FromStr for DynamicsSpec {
                     }
                     DynamicsEvent::RandFades {
                         seed: parse_u64(seed, "seed", part)?,
-                        count: parse_u64(count, "count", part)?,
+                        count: parse_count(count, "count", part)?,
                         window,
                         duration,
                     }
@@ -652,14 +669,22 @@ mod tests {
             "fade@1:0-1",
             "flap@1:0>1:0:5",
             "flap@0:0>1:18446744073709551615:1:1",
+            "flap@0:0>1:1:1:4000000000",
             "storm@1:5-2:10",
             "storm@1:0-3:0",
             "randfades@1:2:0:5",
+            "randfades@1:4000000000:10:5",
             "blink@1:0>1",
             "fade@1:0>1:2:3:4",
         ] {
             assert!(bad.parse::<DynamicsSpec>().is_err(), "{bad:?} should fail");
         }
+        // Counts that expand into transitions stop at a named limit.
+        let err = "flap@0:0>1:1:1:1048577"
+            .parse::<DynamicsSpec>()
+            .unwrap_err();
+        assert!(err.contains("limit of 1048576"), "{err}");
+        assert!("randfades@1:1048576:10:5".parse::<DynamicsSpec>().is_ok());
     }
 
     #[test]

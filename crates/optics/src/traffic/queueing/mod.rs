@@ -248,7 +248,9 @@ impl CongestionMap for LinkOccupancy {
 }
 
 /// A multicast workload's delivery trees, flattened for the cycle
-/// loop: every tree arc of every group gets one global `u32` id (the
+/// loop: groups keep their workload index (what a pending entry
+/// carries in its `dst` slot; the root is the entry's source), and
+/// every tree arc of every group gets one global `u32` id (the
 /// id an in-flight packet copy carries in its arena `dst` slot), with
 /// per-arc fabric arc, CSR child lists, delivery counts and subtree
 /// *weights* — the number of requested destination leaves below the
@@ -700,13 +702,7 @@ impl QueueingEngine {
         offered_per_cycle: f64,
         hot_dst: Option<u64>,
     ) -> QueueingReport {
-        run::execute(
-            self,
-            router,
-            run::Work::Unicast(source),
-            offered_per_cycle,
-            hot_dst,
-        )
+        run::execute(self, router, source, None, offered_per_cycle, hot_dst)
     }
 
     /// [`QueueingEngine::run_streamed_classified`] over an explicit
@@ -733,10 +729,12 @@ impl QueueingEngine {
     /// counted per destination leaf. All leaf-unit counters of the
     /// report (`injected`, `delivered`, drops, `in_flight`) obey
     /// `injected_leaves = delivered + dropped + in_flight`.
-    /// Backpressure, dateline VC classes and the deterministic
-    /// sharded drain work unchanged: a branch blocks until every
-    /// non-relief child FIFO has room, promotes each child per its own
-    /// arc, and reports byte-identically at any `drain_threads`.
+    /// Groups run through the unicast pipeline — the same decode,
+    /// injector and drain — so backpressure, dateline VC classes and
+    /// the deterministic sharded phases work unchanged: a branch
+    /// blocks until every non-relief child FIFO has room, promotes
+    /// each child per its own arc, and reports byte-identically at any
+    /// `drain_threads`. Every root must be a fabric node.
     pub fn run_multicast(
         &self,
         router: &dyn Router,
@@ -748,11 +746,13 @@ impl QueueingEngine {
             "link dynamics are unicast-only: multicast trees are prebuilt \
              against the static fabric and cannot reroute mid-run"
         );
-        let trees = TreeSet::build(&self.g, router, groups);
+        // Each group decodes as its `(root, group index)` pair.
+        let roots: Vec<(u64, u64)> = groups.iter().zip(0..).map(|(g, i)| (g.root, i)).collect();
         run::execute(
             self,
             router,
-            run::Work::Multicast(&trees),
+            &WorkloadSource::from_pairs(roots),
+            Some(groups),
             offered_per_cycle,
             None,
         )
@@ -1089,6 +1089,46 @@ mod tests {
         assert_eq!(report.dropped_unroutable, 2);
         assert_eq!(report.delivered, 1);
         assert!(report.conserves_packets());
+    }
+
+    /// A B(2,4) engine with two drain workers: a panic inside the
+    /// worker scope would leave the other worker waiting at a barrier.
+    fn two_worker_b24() -> (QueueingEngine, otis_core::DeBruijnRouter, u64) {
+        let b = otis_core::DeBruijn::new(2, 4);
+        let config = QueueConfig {
+            drain_threads: 2,
+            ..QueueConfig::default()
+        };
+        let n = b.node_count();
+        (
+            QueueingEngine::from_family(&b, config),
+            otis_core::DeBruijnRouter::new(b),
+            n,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a fabric node")]
+    fn off_fabric_source_panics_before_workers_start() {
+        let (engine, router, n) = two_worker_b24();
+        engine.run(&router, &[(0, 3), (n + 5, 1)], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a fabric node")]
+    fn off_fabric_group_root_panics_before_workers_start() {
+        let (engine, router, n) = two_worker_b24();
+        let groups = [
+            MulticastGroup {
+                root: 0,
+                dsts: vec![3, 5],
+            },
+            MulticastGroup {
+                root: n + 5,
+                dsts: vec![1],
+            },
+        ];
+        engine.run_multicast(&router, &groups, 1.0);
     }
 
     #[test]

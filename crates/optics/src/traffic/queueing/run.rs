@@ -9,7 +9,10 @@
 //!    (regenerated for a generated source, copied out of an explicit
 //!    pair list), and appended to per-source pending FIFOs in the
 //!    entry slab. A source going nonempty is listed with its owning
-//!    inject worker.
+//!    inject worker. A multicast run decodes the same way: its feed
+//!    holds one `(root, group index)` pair per group, so a pending
+//!    entry's `dst` slot names the group, just as an in-flight copy's
+//!    `dst` slot names its tree arc.
 //! 2. **Inject** (sharded by *source* ownership): each worker walks
 //!    its listed sources, admitting every pending head it can. A
 //!    source's injection touches only its own out-arc channels (the
@@ -25,20 +28,25 @@
 //!    congestion scoreboard at injection, so *their* scan order is
 //!    observable: those runs list every source with worker 0 and the
 //!    main thread injects them alone, in listing order — sequential,
-//!    hence still independent of the thread count. Multicast roots
-//!    also inject sequentially (during the decode slot), preserving
-//!    the rotating-scan semantics the frozen reference engine pins.
+//!    hence still independent of the thread count. A multicast group
+//!    at the head of a root's queue injects one copy per root-child
+//!    tree arc through the same loop; trees are prebuilt, so multicast
+//!    runs count as stateless and shard like any oblivious run.
 //! 3. **Drain** (sharded by *downstream-node* ownership): every node
 //!    with any ready inbound channel drains its in-arcs — up to
 //!    `wavelengths` packets per arc, round-robin over VC classes,
-//!    both starting offsets rotating per cycle. Moves are staged;
-//!    pops are batched. Every buffer a node's drain writes belongs to
-//!    that node's *own* out-arcs, so ownership is disjoint by
-//!    construction — no locks, no CAS loops in the loop. Shard
-//!    boundaries are rounded to 64-node multiples so workers never
-//!    share a worklist bitset word, and contiguous node ranges keep
-//!    the de Bruijn arc structure (node `v` feeds `dv + c mod n`)
-//!    cache-local per worker.
+//!    both starting offsets rotating per cycle. One arc loop serves
+//!    both kinds of run; only the step applied to each head differs
+//!    (route a unicast packet one hop, or deliver and replicate a
+//!    tree copy), chosen once per node. Moves and replicated copies
+//!    are staged alike; pops are batched. Every buffer a node's drain
+//!    writes belongs to that node's *own* out-arcs, so ownership is
+//!    disjoint by construction — no locks, no CAS loops in the loop.
+//!    Replicated copies take their ids from the worker's own pool,
+//!    as injection does. Shard boundaries are rounded to 64-node
+//!    multiples so workers never share a worklist bitset word, and
+//!    contiguous node ranges keep the de Bruijn arc structure (node
+//!    `v` feeds `dv + c mod n`) cache-local per worker.
 //! 4. **Apply** (sequential): batched pop counts commit, parked
 //!    channels and sources wake, emptied nodes leave the worklist,
 //!    staged arrivals join their FIFOs (per-channel arrival order is
@@ -95,7 +103,7 @@ use super::arena::{ArenaAllocator, ChannelQueues, EntryArena, PacketArena, NONE}
 use super::dynamics::{Crossing, StrandedPolicy, Timeline};
 use super::{arc_of, ContentionPolicy, QueueingEngine, TreeSet};
 use crate::traffic::report::{ClassBreakdown, ClassStats, QueueingReport, WaitHistogram};
-use crate::traffic::workload::WorkloadSource;
+use crate::traffic::workload::{MulticastGroup, WorkloadSource};
 use otis_core::{Dateline, RouteRepair, RouteSnapshot, Router};
 use otis_digraph::Digraph;
 use otis_util::DenseBitset;
@@ -135,15 +143,15 @@ struct Watch {
     demand: AtomicU32,
 }
 
-/// What a run simulates: unicast `(src, dst)` pairs, or multicast
-/// delivery trees with in-fabric replication. The multicast variant
-/// flips the meaning of the report's packet counters to **destination
-/// leaves** (`injected_leaves = delivered + dropped + in_flight`),
-/// while everything structural — buffers, VC classes, backpressure,
-/// the deterministic sharded phases — is shared.
-pub(super) enum Work<'a> {
-    Unicast(&'a WorkloadSource),
-    Multicast(&'a TreeSet),
+/// What a pipeline step did with the head of its queue: a source's
+/// pending FIFO at injection, a channel's FIFO at drain.
+enum Head {
+    /// The head left the queue: admitted, delivered, moved,
+    /// replicated, dropped or stranded.
+    Left,
+    /// The head stays, blocked under backpressure on this full
+    /// channel.
+    Blocked(usize),
 }
 
 /// The decode step's state: the workload with its one resident chunk,
@@ -172,19 +180,6 @@ impl Decoder<'_> {
     }
 }
 
-/// A staged replication: one child copy to materialize at the apply
-/// step (multicast spawns claim ids from the sequential phases'
-/// allocator access, so drain workers stage spawns instead of
-/// claiming). Room was already checked and `staged_len` bumped by the
-/// staging worker.
-struct Spawn {
-    chan: u32,
-    tree_arc: u32,
-    offered: u64,
-    hops: u32,
-    vc: u8,
-}
-
 /// Everything a worker may touch: immutable context plus shared slabs
 /// whose writes are disjoint by ownership (injection state by the
 /// *source* node's inject owner, drain state by the *downstream*
@@ -202,11 +197,13 @@ struct SharedRun<'a> {
     wavelengths: usize,
     policy: ContentionPolicy,
     hop_limit: u32,
-    /// Router promised pure hops — enable the per-packet cache.
-    /// Multicast runs are always stateless: copies follow prebuilt
-    /// trees, never the live router.
+    /// Router promised pure hops — enable the per-packet cache, park
+    /// blocked channels and sources, and shard injection. Multicast
+    /// runs are always stateless: copies follow prebuilt trees, never
+    /// the live router.
     stateless: bool,
-    /// The flattened delivery trees of a multicast run.
+    /// The flattened delivery trees of a multicast run: pending
+    /// entries name a group, arena copies a tree arc.
     trees: Option<&'a TreeSet>,
     hot_dst: Option<u64>,
     classified: bool,
@@ -250,12 +247,10 @@ struct SharedRun<'a> {
     /// phase (its source's inject owner, or the main thread).
     peak: &'a [AtomicU32],
     /// Inject-shard boundaries over sources, `threads + 1` entries;
-    /// worker `w` owns sources `[shard_bounds[w], shard_bounds[w+1])`.
-    shard_bounds: &'a [usize],
-    /// Sharded injection is on: unicast work under a stateless
-    /// router. Adaptive routers and multicast roots inject
+    /// worker `w` owns sources `[shard_bounds[w], shard_bounds[w+1])`
+    /// when the run is stateless. Adaptive routers inject
     /// sequentially (see the module docs), listing with worker 0.
-    parallel_inject: bool,
+    shard_bounds: &'a [usize],
     /// Inbound channels of `v` that are *ready*: nonempty and not
     /// parked. The worklist counts these, not raw packets — a parked
     /// channel costs nothing until its blocker commits a pop.
@@ -308,7 +303,7 @@ struct SharedRun<'a> {
 impl SharedRun<'_> {
     /// The inject worker that owns `src`'s listing.
     fn list_owner(&self, src: usize) -> usize {
-        if !self.parallel_inject {
+        if !self.stateless {
             return 0;
         }
         self.shard_bounds.partition_point(|&bound| bound <= src) - 1
@@ -358,17 +353,17 @@ struct WorkerScratch {
     /// Listed sources this worker injects for, in listing order.
     sources: Vec<u32>,
     /// This worker's packet id pool, refilled from the shared
-    /// allocator in [`ID_BATCH`]es.
+    /// allocator in [`ID_BATCH`]es. Injection and replication both
+    /// claim from it.
     ids: Vec<u32>,
     /// Pending entries consumed this cycle, for recycling at apply.
     freed_entries: Vec<u32>,
-    /// Staged arrivals `(channel, packet)`, in drain order.
+    /// Staged arrivals `(channel, packet)` — moved packets and
+    /// replicated copies — in drain order. A multicast run moves
+    /// nothing, it only replicates, so either way a channel's arrivals
+    /// land in its source node's drain order, independent of the
+    /// worker layout.
     staged: Vec<(u32, u32)>,
-    /// Staged replications, in drain order. Per channel the apply
-    /// lands moves before spawns; both sequences are the channel's
-    /// source-node drain order, so arrival order stays independent of
-    /// the worker layout.
-    spawned: Vec<Spawn>,
     /// Batched pop counts `(channel, count)`.
     pops: Vec<(u32, u32)>,
     /// Departed packet ids (delivered or dropped), for recycling.
@@ -400,7 +395,6 @@ impl WorkerScratch {
             ids: Vec::new(),
             freed_entries: Vec::new(),
             staged: Vec::new(),
-            spawned: Vec::new(),
             pops: Vec::new(),
             freed: Vec::new(),
             emptied: Vec::new(),
@@ -422,14 +416,20 @@ impl WorkerScratch {
 struct DrainStats {
     activity: usize,
     /// Workload entries consumed at injection (admitted, delivered at
-    /// the source, or dropped there) — the unicast pending decrement.
+    /// the source, or dropped there): unicast pairs or multicast
+    /// groups.
+    consumed: usize,
+    /// Leaf units those entries carried. For unicast one packet is
+    /// one leaf; a multicast group carries every requested leaf.
     injected: usize,
-    /// Packets that physically entered the network this cycle.
+    /// Leaf units that physically entered the network this cycle.
     entered: usize,
+    /// Arena copies injected this cycle.
+    entered_copies: usize,
     delivered: usize,
     /// Leaf units that left the network (delivered + dropped). For
-    /// unicast one packet is one leaf; for multicast a dropped copy
-    /// departs with its whole subtree weight.
+    /// multicast a dropped copy departs with its whole subtree
+    /// weight.
     departed: usize,
     /// Arena copies that left the network (`freed` entries).
     departed_copies: usize,
@@ -450,18 +450,14 @@ struct DrainStats {
 
 /// Main-thread run accumulators.
 struct MainState {
-    /// Multicast only: per-root group queues and the rotating-scan
-    /// id list. Unicast sources live in the shared entry slab.
-    sources: Vec<VecDeque<usize>>,
-    source_ids: Vec<usize>,
-    pending: usize,
+    /// Workload entries consumed at injection: unicast pairs, or the
+    /// multicast groups the report counts.
+    consumed: usize,
     /// Leaf units buffered in the fabric (unicast: packets).
     in_network: usize,
     /// Live arena copies (multicast replication makes this differ
     /// from `in_network`; unicast keeps them equal).
     in_copies: usize,
-    /// Multicast groups that completed injection.
-    groups_injected: usize,
     /// Child copies spawned at tree branches.
     replicated: u64,
     injected: usize,
@@ -544,10 +540,18 @@ fn shard_bounds(n: usize, threads: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Run `source` through the engine. A unicast run feeds `(src, dst)`
+/// pairs; a multicast run passes its `groups` and feeds one
+/// `(root, group index)` pair per group. The multicast run flips the
+/// report's packet counters to **destination leaves**
+/// (`injected_leaves = delivered + dropped + in_flight`), while
+/// everything structural — buffers, VC classes, backpressure, the
+/// deterministic sharded phases — is one pipeline.
 pub(super) fn execute(
     engine: &QueueingEngine,
     router: &dyn Router,
-    work: Work<'_>,
+    source: &WorkloadSource,
+    groups: Option<&[MulticastGroup]>,
     offered_per_cycle: f64,
     hot_dst: Option<u64>,
 ) -> QueueingReport {
@@ -563,6 +567,25 @@ pub(super) fn execute(
         "router covers {} nodes but the fabric has {n}",
         router.node_count()
     );
+    // Every source must be a fabric node. Checked here, before any
+    // tree is built or worker spawned: a panic inside the worker scope
+    // would leave the other workers waiting at a barrier forever.
+    if let Some(max) = source.max_source() {
+        let what = if groups.is_some() {
+            "group root"
+        } else {
+            "workload source"
+        };
+        assert!(
+            max < n,
+            "{what} {max} is not a fabric node (fabric has {n})"
+        );
+    }
+    let trees = groups.map(|groups| {
+        assert!(hot_dst.is_none(), "multicast runs are unclassified");
+        TreeSet::build(g, router, groups)
+    });
+    let trees = trees.as_ref();
     let config = *engine.config();
     let arcs = g.arc_count();
     let vcs = config.vcs;
@@ -585,22 +608,11 @@ pub(super) fn execute(
         count.store(0, Relaxed);
     }
 
-    // Injection items (pairs or groups) and the arena bound: a unicast
-    // run never holds more copies than packets; a multicast run never
-    // holds more copies than tree arcs (each arc is crossed once). A
-    // multicast run decodes nothing, so it reads an empty source.
-    let no_pairs = WorkloadSource::from_pairs(Vec::new());
-    let (source, trees) = match work {
-        Work::Unicast(source) => (source, None),
-        Work::Multicast(set) => {
-            assert!(hot_dst.is_none(), "multicast runs are unclassified");
-            (&no_pairs, Some(set))
-        }
-    };
-    let (items, copy_bound) = match trees {
-        Some(set) => (set.group_count(), set.arc_count()),
-        None => (source.len(), source.len()),
-    };
+    // The arena bound: a unicast run never holds more copies than
+    // packets; a multicast run never holds more copies than tree arcs
+    // (each arc is crossed once).
+    let items = source.len();
+    let copy_bound = trees.map_or(items, TreeSet::arc_count);
     // Headroom for ids parked in worker pools: live packets never
     // exceed `copy_bound`, but up to `threads · ID_BATCH` claimed ids
     // may sit idle in pools — those must not trip the overflow assert.
@@ -608,7 +620,7 @@ pub(super) fn execute(
 
     let arena = PacketArena::with_capacity(capacity);
     let allocator = Mutex::new(ArenaAllocator::new(capacity));
-    let entries = EntryArena::with_capacity(source.len());
+    let entries = EntryArena::with_capacity(items);
     let queues = ChannelQueues::new(channels);
     let node_ready: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
     let active = DenseBitset::new(n as usize);
@@ -701,7 +713,6 @@ pub(super) fn execute(
         source_waiter_link: &source_waiter_link,
         peak: &peak,
         shard_bounds: &bounds,
-        parallel_inject: trees.is_none() && stateless,
         node_ready: &node_ready,
         active: &active,
         parked: &parked,
@@ -718,32 +729,10 @@ pub(super) fn execute(
         done: AtomicBool::new(false),
     };
 
-    // Multicast group queues, root order within each root. Unicast
-    // work needs no up-front distribution: the decode step streams
-    // pairs into the entry slab as their offer cycles arrive.
-    let mut sources: Vec<VecDeque<usize>> = Vec::new();
-    if let Some(set) = trees {
-        sources = vec![VecDeque::new(); n as usize];
-        for group in 0..set.group_count() {
-            let root = set.group_root(group);
-            assert!(
-                root < n,
-                "group root {root} is not a fabric node (fabric has {n})"
-            );
-            sources[root as usize].push_back(group);
-        }
-    }
-    let source_ids: Vec<usize> = (0..sources.len())
-        .filter(|&src| !sources[src].is_empty())
-        .collect();
-
     let mut main = MainState {
-        sources,
-        source_ids,
-        pending: items,
+        consumed: 0,
         in_network: 0,
         in_copies: 0,
-        groups_injected: 0,
         replicated: 0,
         injected: 0,
         delivered: 0,
@@ -784,7 +773,7 @@ pub(super) fn execute(
         chunk: Vec::new(),
         resident: usize::MAX,
         next: 0,
-        entry_ids: ArenaAllocator::new(source.len()),
+        entry_ids: ArenaAllocator::new(items),
         newly_listed: vec![Vec::new(); threads],
     };
 
@@ -830,7 +819,7 @@ pub(super) fn execute(
         let mut event_cursor = 0usize;
         loop {
             let horizon = main.cycle >= config.max_cycles;
-            if (main.pending == 0 && main.in_network == 0) || horizon || main.deadlocked {
+            if (main.consumed == items && main.in_network == 0) || horizon || main.deadlocked {
                 // ORDERING: the shutdown barrier, an audited
                 // relaxed-handoff (see crates/lint/allow/atomics.txt).
                 // The store is
@@ -843,16 +832,8 @@ pub(super) fn execute(
                 barrier.wait();
                 break;
             }
-            let mut activity = match shared.trees {
-                Some(set) => {
-                    let mut allocator = shared.allocator.lock().expect("arena allocator");
-                    inject_multicast(&shared, &mut main, &mut allocator, set, offered_per_cycle)
-                }
-                None => {
-                    decode(&shared, &main, &mut dec, &scratches, offered_per_cycle);
-                    0
-                }
-            };
+            decode(&shared, &main, &mut dec, &scratches, offered_per_cycle);
+            let mut activity = 0;
             // Link dynamics fire on the sequential slot: capacity
             // stores, stranding, repair, and wakes all happen while
             // the workers idle at the barrier, so every gate the
@@ -903,14 +884,8 @@ pub(super) fn execute(
 
     // Arena conservation: every slot handed out is either recycled
     // (delivered/dropped), pooled by a worker, or still queued (in
-    // flight). Return the pools, then audit. Multicast copies are
-    // audited in copy units — their leaf-unit total is the report's
-    // `in_flight`.
-    let live_copies = if shared.trees.is_some() {
-        main.in_copies
-    } else {
-        main.in_network
-    };
+    // flight). Return the pools, then audit in copy units (a multicast
+    // run's leaf-unit total is the report's `in_flight`).
     {
         let mut allocator = shared.allocator.lock().expect("arena allocator");
         for cell in &scratches {
@@ -919,23 +894,22 @@ pub(super) fn execute(
         }
         assert_eq!(
             allocator.live(),
-            live_copies,
-            "arena leak: {} live slots vs {live_copies} in-flight copies",
+            main.in_copies,
+            "arena leak: {} live slots vs {} in-flight copies",
             allocator.live(),
+            main.in_copies,
         );
     }
     // Entry conservation: decoded minus consumed must equal the live
-    // pending backlog (consumes and `injected` move in lockstep).
-    if shared.trees.is_none() {
-        assert_eq!(
-            dec.entry_ids.live(),
-            dec.next - main.injected,
-            "entry leak: {} live entries vs {} decoded − {} consumed",
-            dec.entry_ids.live(),
-            dec.next,
-            main.injected,
-        );
-    }
+    // pending backlog.
+    assert_eq!(
+        dec.entry_ids.live(),
+        dec.next - main.consumed,
+        "entry leak: {} live entries vs {} decoded − {} consumed",
+        dec.entry_ids.live(),
+        dec.next,
+        main.consumed,
+    );
 
     // Sources still parked at the end: the scan would have re-stalled
     // them in every executed cycle after they parked — settle the
@@ -963,11 +937,11 @@ pub(super) fn execute(
     )
 }
 
-/// The decode step of a unicast run: pull every pair whose offer
-/// cycle has arrived, append it to its source's pending FIFO, and
-/// stage newly nonempty sources for listing with their inject owner
-/// (one scratch lock per worker per cycle, while the workers idle at
-/// the cycle barrier).
+/// The decode step: pull every pair (or multicast `(root, group)`)
+/// whose offer cycle has arrived, append it to its source's pending
+/// FIFO, and stage newly nonempty sources for listing with their
+/// inject owner (one scratch lock per worker per cycle, while the
+/// workers idle at the cycle barrier).
 fn decode(
     shared: &SharedRun,
     main: &MainState,
@@ -988,12 +962,11 @@ fn decode(
     // synchronizes-with edge that hands the writes to the inject
     // phase, and the scratch mutex hands over `newly_listed`.
     let cycle = main.cycle;
-    let n = shared.g.node_count() as u64;
     while dec.next < dec.source.len() && offer_cycle(dec.next) <= cycle {
         let (src, dst) = dec.pair(dec.next);
-        assert!(
-            src < n,
-            "workload source {src} is not a fabric node (fabric has {n})"
+        debug_assert!(
+            src < shared.g.node_count() as u64,
+            "`execute` checks every source before the run starts"
         );
         let entry = dec.entry_ids.claim();
         shared.entries.init(entry, dst, offer_cycle(dec.next));
@@ -1022,105 +995,6 @@ fn decode(
     }
 }
 
-/// The injection phase of a multicast run (sequential, in the decode
-/// slot): rotate over roots with pending groups, injecting one copy
-/// per root-child tree arc. A group injects all-or-nothing under
-/// backpressure (any full root-child FIFO stalls the root, which
-/// parks on it); under tail-drop the full children drop with their
-/// whole subtree weight and the rest inject. Root self-requests
-/// deliver at the source and unroutable leaves drop here, so a
-/// processed group always accounts for every one of its leaves.
-fn inject_multicast(
-    shared: &SharedRun,
-    main: &mut MainState,
-    allocator: &mut ArenaAllocator,
-    trees: &TreeSet,
-    offered_per_cycle: f64,
-) -> usize {
-    let offer_cycle =
-        |i: usize| (((i + 1) as f64 / offered_per_cycle).ceil() as u64).saturating_sub(1);
-    // ORDERING: Relaxed — multicast injection is sequential (main
-    // thread, workers parked at the barrier), so the queue-length
-    // probes, parking flags, and waiter-list threading here are
-    // data-race-free by construction; the phase barrier publishes
-    // them to the drain workers.
-    let cycle = main.cycle;
-    let mut activity = 0usize;
-    let scan_count = if main.pending == 0 {
-        0
-    } else {
-        main.source_ids.len()
-    };
-    let source_start = if main.source_ids.is_empty() {
-        0
-    } else {
-        cycle as usize % main.source_ids.len()
-    };
-    for scan in 0..scan_count {
-        let src = main.source_ids[(source_start + scan) % main.source_ids.len()];
-        if shared.source_parked_at[src].load(Relaxed) != u64::MAX {
-            continue; // woken by the blocking channel's next pop
-        }
-        'groups: while let Some(&group) = main.sources[src].front() {
-            if offer_cycle(group) > cycle {
-                break;
-            }
-            let roots = trees.group_root_arcs(group);
-            if shared.policy == ContentionPolicy::Backpressure {
-                // All-or-nothing: probe every root child before
-                // committing anything.
-                for &t in roots {
-                    let arc = trees.fabric_arc(t);
-                    let vc0 = shared.dateline.next_class_arc(0, arc);
-                    let chan = arc * shared.vcs + vc0 as usize;
-                    if shared.queues.len[chan].load(Relaxed) >= shared.buffers {
-                        main.source_stall_cycles += 1;
-                        shared.source_parked_at[src].store(cycle, Relaxed);
-                        let first = shared.source_waiter_head[chan].load(Relaxed);
-                        shared.source_waiter_link[src].store(first, Relaxed);
-                        shared.source_waiter_head[chan].store(src as u32, Relaxed);
-                        break 'groups;
-                    }
-                }
-            }
-            main.sources[src].pop_front();
-            main.pending -= 1;
-            main.groups_injected += 1;
-            main.injected += trees.group_leaves(group) as usize;
-            let self_requests = trees.group_self_requests(group) as usize;
-            if self_requests > 0 {
-                // Delivered without entering the network.
-                main.delivered += self_requests;
-                let wait = cycle - offer_cycle(group);
-                main.waits.record_n(wait, self_requests as u64);
-            }
-            main.dropped_unroutable += trees.group_unroutable(group) as usize;
-            for &t in roots {
-                let arc = trees.fabric_arc(t);
-                let vc0 = shared.dateline.next_class_arc(0, arc);
-                let chan = arc * shared.vcs + vc0 as usize;
-                if shared.queues.len[chan].load(Relaxed) < shared.buffers {
-                    if vc0 > 0 {
-                        main.dateline_promotions += 1;
-                    }
-                    let id = allocator.claim();
-                    shared.arena.init(id, t, offer_cycle(group), vc0);
-                    push_packet(shared, chan, id, cycle);
-                    main.in_network += trees.weight(t) as usize;
-                    main.in_copies += 1;
-                } else {
-                    // Only reachable under tail-drop — backpressure
-                    // probed every child above.
-                    debug_assert_eq!(shared.policy, ContentionPolicy::TailDrop);
-                    main.dropped_full += trees.weight(t) as usize;
-                }
-            }
-            activity += 1;
-        }
-    }
-    activity
-}
-
 /// The injection phase over one worker's listed sources: admit every
 /// pending head each source can place, compacting the list as sources
 /// drain empty or park. Listing invariant: a source is on exactly one
@@ -1140,7 +1014,7 @@ fn inject_list(shared: &SharedRun, ws: &mut WorkerScratch, cycle: u64) {
         return;
     }
     let mut list = std::mem::take(&mut ws.sources);
-    if !shared.parallel_inject {
+    if !shared.stateless {
         // Sequential (adaptive-router) injection: stalled sources
         // stay listed and retry every cycle, so rotate the scan start
         // or the first-listed would persistently win the buffer room
@@ -1204,129 +1078,231 @@ fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: 
         // event-driven (the blocker's next committed pop).
         return false;
     }
+    // Branch once per source, not once per entry: each arm runs its own
+    // copy of the head loop, specialised to its step.
+    match shared.trees {
+        Some(trees) => inject_heads(shared, ws, src, cycle, |ws, entry| {
+            inject_group(shared, trees, ws, entry, cycle)
+        }),
+        None => inject_heads(shared, ws, src, cycle, |ws, entry| {
+            inject_pair(shared, ws, src, entry, cycle)
+        }),
+    }
+}
+
+/// Offer `src`'s pending heads to `step` in order until the queue
+/// drains or a head blocks; see [`inject_source`] for the return.
+#[inline]
+fn inject_heads(
+    shared: &SharedRun,
+    ws: &mut WorkerScratch,
+    src: usize,
+    cycle: u64,
+    step: impl Fn(&mut WorkerScratch, u32) -> Head,
+) -> bool {
+    // ORDERING: Relaxed — see `inject_source`.
     loop {
         let entry = shared.src_head[src].load(Relaxed);
         if entry == NONE {
             return false;
         }
-        let dst = shared.entries.dst(entry).load(Relaxed);
-        let offered = shared.entries.offered(entry).load(Relaxed);
-        let class = usize::from(shared.hot_dst == Some(dst));
-        if src as u64 == dst {
-            // Delivered without entering the network (any
-            // source-stall time still counts as waiting).
-            consume_entry(shared, ws, src, entry);
-            ws.stats.injected += 1;
-            ws.stats.delivered += 1;
-            ws.stats.class_injected[class] += 1;
-            ws.stats.class_delivered[class] += 1;
-            let wait = cycle - offered;
-            ws.waits.push(wait);
-            if shared.classified {
-                ws.class_waits[class].push(wait);
+        match step(ws, entry) {
+            Head::Left => {
+                consume_entry(shared, ws, src, entry);
+                ws.stats.consumed += 1;
+                ws.stats.activity += 1;
             }
-            ws.stats.activity += 1;
-            continue;
+            Head::Blocked(chan) => {
+                // This source stalls; the others go on. With a
+                // stateless router the blocking channel is fixed, so
+                // park the source until that channel commits a pop
+                // instead of re-scanning it every cycle (the skipped
+                // stalls are settled at wake time). Only this source
+                // can park on its own out-arc channel, so the waiter
+                // list has one writer.
+                ws.stats.source_stalls += 1;
+                if shared.stateless {
+                    shared.source_parked_at[src].store(cycle, Relaxed);
+                    let first = shared.source_waiter_head[chan].load(Relaxed);
+                    shared.source_waiter_link[src].store(first, Relaxed);
+                    shared.source_waiter_head[chan].store(src as u32, Relaxed);
+                    return false;
+                }
+                return true;
+            }
         }
-        // An off-fabric destination is unroutable by definition
-        // — dropped here, before any router can be asked about a
-        // node that does not exist (dense tables index out of
-        // bounds, compressed ones would have to invent answers).
-        let arc = if dst >= shared.g.node_count() as u64 {
-            None
-        } else if shared.stateless && shared.inject_cached_entry[src].load(Relaxed) == entry {
-            Some(shared.inject_cached_arc[src].load(Relaxed) as usize)
-        } else {
-            let computed = shared
+    }
+}
+
+/// Offer the unicast pair `entry` at the head of `src`'s queue: deliver
+/// a self-pair at the source, drop an unroutable one, admit it onto
+/// its first-hop channel when that has room, else drop it (tail-drop)
+/// or block on the full channel (backpressure).
+#[inline]
+fn inject_pair(
+    shared: &SharedRun,
+    ws: &mut WorkerScratch,
+    src: usize,
+    entry: u32,
+    cycle: u64,
+) -> Head {
+    // ORDERING: Relaxed — see `inject_source`.
+    let dst = shared.entries.dst(entry).load(Relaxed);
+    let offered = shared.entries.offered(entry).load(Relaxed);
+    let class = usize::from(shared.hot_dst == Some(dst));
+    if src as u64 == dst {
+        // Delivered without entering the network (any source-stall
+        // time still counts as waiting).
+        ws.stats.injected += 1;
+        ws.stats.delivered += 1;
+        ws.stats.class_injected[class] += 1;
+        ws.stats.class_delivered[class] += 1;
+        let wait = cycle - offered;
+        ws.waits.push(wait);
+        if shared.classified {
+            ws.class_waits[class].push(wait);
+        }
+        return Head::Left;
+    }
+    // An off-fabric destination is unroutable by definition — dropped
+    // here, before any router can be asked about a node that does not
+    // exist (dense tables index out of bounds, compressed ones would
+    // have to invent answers).
+    let arc = if dst >= shared.g.node_count() as u64 {
+        None
+    } else if shared.stateless && shared.inject_cached_entry[src].load(Relaxed) == entry {
+        Some(shared.inject_cached_arc[src].load(Relaxed) as usize)
+    } else {
+        let computed = shared
+            .route_query(&ws.snapshot, src as u64, dst, 0)
+            .and_then(|next| arc_of(shared.g, src as u64, next));
+        if let (true, Some(found)) = (shared.stateless, computed) {
+            shared.inject_cached_entry[src].store(entry, Relaxed);
+            shared.inject_cached_arc[src].store(found as u32, Relaxed);
+        }
+        computed
+    };
+    // Dead-target requery at the injection port: a cached (or fresh)
+    // first hop onto a beam that has since faded to zero is re-asked
+    // against the repaired routing; a router still answering the dead
+    // beam makes the packet unroutable here — it never entered the
+    // fabric, so there is nothing to strand.
+    let arc = match arc {
+        Some(found) if shared.arc_dead(found) => {
+            note_dead_demand(shared, found as u32, cycle);
+            shared.inject_cached_entry[src].store(NONE, Relaxed);
+            let fresh = shared
                 .route_query(&ws.snapshot, src as u64, dst, 0)
-                .and_then(|next| arc_of(shared.g, src as u64, next));
-            if let (true, Some(found)) = (shared.stateless, computed) {
+                .and_then(|next| arc_of(shared.g, src as u64, next))
+                .filter(|&fresh| !shared.arc_dead(fresh));
+            if let (true, Some(found)) = (shared.stateless, fresh) {
                 shared.inject_cached_entry[src].store(entry, Relaxed);
                 shared.inject_cached_arc[src].store(found as u32, Relaxed);
             }
-            computed
-        };
-        // Dead-target requery at the injection port: a cached (or
-        // fresh) first hop onto a beam that has since faded to zero
-        // is re-asked against the repaired routing; a router still
-        // answering the dead beam makes the packet unroutable here —
-        // it never entered the fabric, so there is nothing to strand.
-        let arc = match arc {
-            Some(found) if shared.arc_dead(found) => {
-                note_dead_demand(shared, found as u32, cycle);
-                shared.inject_cached_entry[src].store(NONE, Relaxed);
-                let fresh = shared
-                    .route_query(&ws.snapshot, src as u64, dst, 0)
-                    .and_then(|next| arc_of(shared.g, src as u64, next))
-                    .filter(|&fresh| !shared.arc_dead(fresh));
-                if let (true, Some(found)) = (shared.stateless, fresh) {
-                    shared.inject_cached_entry[src].store(entry, Relaxed);
-                    shared.inject_cached_arc[src].store(found as u32, Relaxed);
-                }
-                fresh
-            }
-            other => other,
-        };
-        let Some(arc) = arc else {
-            // No route (or the router proposed a non-neighbor).
-            consume_entry(shared, ws, src, entry);
+            fresh
+        }
+        other => other,
+    };
+    let Some(arc) = arc else {
+        // No route (or the router proposed a non-neighbor).
+        ws.stats.injected += 1;
+        ws.stats.dropped_unroutable += 1;
+        ws.stats.class_injected[class] += 1;
+        ws.stats.class_dropped[class] += 1;
+        return Head::Left;
+    };
+    // A packet starts at class 0 and, like any other hop, is promoted
+    // if its very first arc crosses the dateline — so the class it
+    // joins is exactly the one a dateline-aware adaptive scorer
+    // charged for this hop.
+    let vc0 = shared.dateline.next_class_arc(0, arc);
+    let chan = arc * shared.vcs + vc0 as usize;
+    if shared.queues.len[chan].load(Relaxed) < shared.buffers {
+        if vc0 > 0 {
+            ws.stats.promotions += 1;
+        }
+        let id = claim_id(shared, ws);
+        shared.arena.init(id, dst as u32, offered, vc0);
+        push_packet(shared, chan, id, cycle);
+        ws.stats.injected += 1;
+        ws.stats.entered += 1;
+        ws.stats.entered_copies += 1;
+        ws.stats.class_injected[class] += 1;
+        return Head::Left;
+    }
+    match shared.policy {
+        ContentionPolicy::TailDrop => {
             ws.stats.injected += 1;
-            ws.stats.dropped_unroutable += 1;
+            ws.stats.dropped_full += 1;
             ws.stats.class_injected[class] += 1;
             ws.stats.class_dropped[class] += 1;
-            ws.stats.activity += 1;
-            continue;
-        };
-        // A packet starts at class 0 and, like any other hop, is
-        // promoted if its very first arc crosses the dateline — so
-        // the class it joins is exactly the one a dateline-aware
-        // adaptive scorer charged for this hop.
+            Head::Left
+        }
+        ContentionPolicy::Backpressure => Head::Blocked(chan),
+    }
+}
+
+/// Offer the multicast group `entry` at the head of its root's queue:
+/// one copy per root-child tree arc. Under backpressure the group is
+/// all-or-nothing — the first full root child blocks it. Under
+/// tail-drop a full child drops with its whole subtree weight and the
+/// rest inject. Root self-requests deliver at the source and
+/// unroutable leaves drop here, so an injected group accounts for
+/// every one of its leaves.
+fn inject_group(
+    shared: &SharedRun,
+    trees: &TreeSet,
+    ws: &mut WorkerScratch,
+    entry: u32,
+    cycle: u64,
+) -> Head {
+    // ORDERING: Relaxed — see `inject_source`.
+    let group = shared.entries.dst(entry).load(Relaxed) as usize;
+    let offered = shared.entries.offered(entry).load(Relaxed);
+    let roots = trees.group_root_arcs(group);
+    let root_chan = |t: u32| {
+        let arc = trees.fabric_arc(t);
         let vc0 = shared.dateline.next_class_arc(0, arc);
-        let chan = arc * shared.vcs + vc0 as usize;
-        if shared.queues.len[chan].load(Relaxed) < shared.buffers {
-            consume_entry(shared, ws, src, entry);
+        (arc * shared.vcs + vc0 as usize, vc0)
+    };
+    let has_room = |chan: usize| shared.queues.len[chan].load(Relaxed) < shared.buffers;
+    if shared.policy == ContentionPolicy::Backpressure {
+        // All-or-nothing: probe every root child before committing
+        // anything.
+        if let Some((chan, _)) = roots
+            .iter()
+            .map(|&t| root_chan(t))
+            .find(|&(c, _)| !has_room(c))
+        {
+            return Head::Blocked(chan);
+        }
+    }
+    ws.stats.injected += trees.group_leaves(group) as usize;
+    // Self-requests are delivered without entering the network.
+    let self_requests = trees.group_self_requests(group) as usize;
+    ws.stats.delivered += self_requests;
+    ws.waits
+        .extend(std::iter::repeat_n(cycle - offered, self_requests));
+    ws.stats.dropped_unroutable += trees.group_unroutable(group) as usize;
+    for &t in roots {
+        let (chan, vc0) = root_chan(t);
+        if has_room(chan) {
             if vc0 > 0 {
                 ws.stats.promotions += 1;
             }
             let id = claim_id(shared, ws);
-            shared.arena.init(id, dst as u32, offered, vc0);
+            shared.arena.init(id, t, offered, vc0);
             push_packet(shared, chan, id, cycle);
-            ws.stats.injected += 1;
-            ws.stats.entered += 1;
-            ws.stats.class_injected[class] += 1;
-            ws.stats.activity += 1;
+            ws.stats.entered += trees.weight(t) as usize;
+            ws.stats.entered_copies += 1;
         } else {
-            match shared.policy {
-                ContentionPolicy::TailDrop => {
-                    consume_entry(shared, ws, src, entry);
-                    ws.stats.injected += 1;
-                    ws.stats.dropped_full += 1;
-                    ws.stats.class_injected[class] += 1;
-                    ws.stats.class_dropped[class] += 1;
-                    ws.stats.activity += 1;
-                }
-                ContentionPolicy::Backpressure => {
-                    // This source stalls; the others go on. With a
-                    // stateless router the blocking channel is
-                    // fixed, so park the source until that channel
-                    // commits a pop instead of re-scanning it
-                    // every cycle (the skipped stalls are settled
-                    // at wake time). Only this source can park on
-                    // its own out-arc channel, so the waiter list
-                    // has one writer.
-                    ws.stats.source_stalls += 1;
-                    if shared.stateless {
-                        shared.source_parked_at[src].store(cycle, Relaxed);
-                        let first = shared.source_waiter_head[chan].load(Relaxed);
-                        shared.source_waiter_link[src].store(first, Relaxed);
-                        shared.source_waiter_head[chan].store(src as u32, Relaxed);
-                        return false;
-                    }
-                    return true;
-                }
-            }
+            // Only reachable under tail-drop — backpressure probed
+            // every child above.
+            debug_assert_eq!(shared.policy, ContentionPolicy::TailDrop);
+            ws.stats.dropped_full += trees.weight(t) as usize;
         }
     }
+    Head::Left
 }
 
 /// Unlink a source's pending head, recycle it at the next apply, and
@@ -1471,42 +1447,61 @@ fn drain_node(shared: &SharedRun, node: usize, cycle: u64, ws: &mut WorkerScratc
     // ORDERING: Relaxed — this worker owns `node` (and so every word
     // its inbound arcs' drains touch) for the whole drain phase; see
     // the note in `drain_range`.
-    let lo = shared.in_offsets[node] as usize;
-    let hi = shared.in_offsets[node + 1] as usize;
-    let degree = hi - lo;
-    debug_assert!(degree > 0, "ready channels imply inbound arcs");
-    let rotation = cycle as usize % degree;
-    // Branch once per node, not once per arc — the unicast hot path
-    // must not pay for the multicast dispatch.
+    // Branch once per node, not once per packet: each arm runs its own
+    // copy of the arc loop, specialised to its head step, so the
+    // unicast hot path never pays for the multicast dispatch.
     match shared.trees {
-        Some(trees) => {
-            for step in 0..degree {
-                let arc = shared.in_arcs[lo + (rotation + step) % degree] as usize;
-                drain_arc_mc(shared, trees, arc, node as u64, cycle, ws);
-                if shared.node_ready[node].load(Relaxed) == 0 {
-                    break;
-                }
-            }
-        }
-        None => {
-            for step in 0..degree {
-                let arc = shared.in_arcs[lo + (rotation + step) % degree] as usize;
-                drain_arc(shared, arc, node as u64, cycle, ws);
-                if shared.node_ready[node].load(Relaxed) == 0 {
-                    break;
-                }
-            }
-        }
+        Some(trees) => drain_in_arcs(shared, node, cycle, ws, |ws, arc, _, head| {
+            tree_step(shared, trees, ws, arc, cycle, head)
+        }),
+        None => drain_in_arcs(shared, node, cycle, ws, |ws, arc, chan, head| {
+            unicast_step(shared, ws, arc, chan, node as u64, cycle, head)
+        }),
     }
     if shared.node_ready[node].load(Relaxed) == 0 {
         ws.emptied.push(node as u32);
     }
 }
 
+/// [`drain_node`]'s arc rotation, with `step(ws, arc, chan, head)`
+/// applied to every channel head.
+#[inline]
+fn drain_in_arcs(
+    shared: &SharedRun,
+    node: usize,
+    cycle: u64,
+    ws: &mut WorkerScratch,
+    step: impl Fn(&mut WorkerScratch, usize, usize, u32) -> Head,
+) {
+    // ORDERING: Relaxed — see `drain_node`.
+    let lo = shared.in_offsets[node] as usize;
+    let hi = shared.in_offsets[node + 1] as usize;
+    let degree = hi - lo;
+    debug_assert!(degree > 0, "ready channels imply inbound arcs");
+    let rotation = cycle as usize % degree;
+    for offset in 0..degree {
+        let arc = shared.in_arcs[lo + (rotation + offset) % degree] as usize;
+        drain_arc(shared, arc, node as u64, cycle, ws, &step);
+        if shared.node_ready[node].load(Relaxed) == 0 {
+            break;
+        }
+    }
+}
+
 /// Drain one arc: up to `wavelengths` packets off its VC FIFO heads,
 /// one per class per round (rotating the starting class) so no class
 /// hogs the channels; a blocked head blocks only its own class.
-fn drain_arc(shared: &SharedRun, arc: usize, node: u64, cycle: u64, ws: &mut WorkerScratch) {
+/// `step` decides each head's fate; this loop owns the budget, the
+/// pops, parking and the node's ready count.
+#[inline]
+fn drain_arc(
+    shared: &SharedRun,
+    arc: usize,
+    node: u64,
+    cycle: u64,
+    ws: &mut WorkerScratch,
+    step: &impl Fn(&mut WorkerScratch, usize, usize, u32) -> Head,
+) {
     // ORDERING: Relaxed — every atomic this drain touches is owned by
     // this worker during the phase: the arc's FIFO heads and parking
     // words belong to its target node's shard; staged arrivals bump
@@ -1546,187 +1541,30 @@ fn drain_arc(shared: &SharedRun, arc: usize, node: u64, cycle: u64, ws: &mut Wor
                 ws.vc_blocked[vc] = true;
                 continue;
             }
-            let dst = shared.arena.dst(head).load(Relaxed);
-            let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
-            if dst as u64 == node {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                let class = usize::from(shared.hot_dst == Some(dst as u64));
-                ws.stats.delivered += 1;
-                ws.stats.departed += 1;
-                ws.stats.departed_copies += 1;
-                ws.stats.class_delivered[class] += 1;
-                ws.stats.delivered_hops += hops_after as u64;
-                if hops_after > ws.stats.max_hops {
-                    ws.stats.max_hops = hops_after;
+            match step(ws, arc, chan, head) {
+                Head::Left => {
+                    shared.queues.pop_head(chan, head, shared.arena);
+                    ws.vc_pops[vc] += 1;
+                    ws.stats.activity += 1;
+                    budget -= 1;
+                    progressed = true;
                 }
-                let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
-                shared.delivered_per_link[arc].store(delivered_here + 1, Relaxed);
-                // Total time since offer minus one cycle per hop =
-                // cycles spent waiting (source stall plus queueing).
-                let offered = shared.arena.offered(head).load(Relaxed);
-                let wait = cycle + 1 - offered - hops_after as u64;
-                ws.waits.push(wait);
-                if shared.classified {
-                    ws.class_waits[class].push(wait);
-                }
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            }
-            if hops_after >= shared.hop_limit {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                ws.stats.dropped_ttl += 1;
-                ws.stats.departed += 1;
-                ws.stats.departed_copies += 1;
-                ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] += 1;
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            }
-            let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
-            // Stateless routers answer this identically every cycle
-            // the head stays blocked — cache the arc in the packet.
-            let next_arc = if shared.stateless {
-                let cached = shared.arena.cached_next(head).load(Relaxed);
-                if cached != NONE {
-                    Some(cached as usize)
-                } else {
-                    let computed = shared
-                        .route_query(&ws.snapshot, node, dst as u64, packet_vc)
-                        .and_then(|next| arc_of(shared.g, node, next));
-                    if let Some(found) = computed {
-                        shared.arena.cached_next(head).store(found as u32, Relaxed);
-                    }
-                    computed
-                }
-            } else {
-                shared
-                    .router
-                    .next_hop_on_vc(node, dst as u64, packet_vc)
-                    .and_then(|next| arc_of(shared.g, node, next))
-            };
-            // Dead-target requery: a cached (or freshly proposed) hop
-            // onto a beam that has since faded to zero is re-asked
-            // once against the now-repaired routing. A router that
-            // still insists on the dead beam strands the head — it is
-            // pulled out of the fabric and resolved per the stranded
-            // policy at apply, instead of wedging the class forever
-            // behind a link that may never come back.
-            let next_arc = match next_arc {
-                Some(found) if shared.arc_dead(found) => {
-                    note_dead_demand(shared, found as u32, cycle);
-                    shared.arena.cached_next(head).store(NONE, Relaxed);
-                    let fresh = shared
-                        .route_query(&ws.snapshot, node, dst as u64, packet_vc)
-                        .and_then(|next| arc_of(shared.g, node, next))
-                        .filter(|&fresh| !shared.arc_dead(fresh));
-                    match fresh {
-                        Some(fresh) => {
-                            if shared.stateless {
-                                shared.arena.cached_next(head).store(fresh as u32, Relaxed);
-                            }
-                            Some(fresh)
-                        }
-                        None => {
-                            shared.queues.pop_head(chan, head, shared.arena);
-                            ws.vc_pops[vc] += 1;
-                            shared.arena.hops(head).store(hops_after, Relaxed);
-                            ws.stranded.push((chan as u32, head));
-                            ws.stats.activity += 1;
-                            budget -= 1;
-                            progressed = true;
-                            continue;
-                        }
-                    }
-                }
-                other => other,
-            };
-            let Some(next_arc) = next_arc else {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                ws.stats.dropped_unroutable += 1;
-                ws.stats.departed += 1;
-                ws.stats.departed_copies += 1;
-                ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] += 1;
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            };
-            let next_vc = shared.dateline.next_class_arc(packet_vc, next_arc);
-            let next_chan = next_arc * vcs + next_vc as usize;
-            // Boundary credits: committed occupancy plus this cycle's
-            // staged arrivals; same-cycle pops become room next cycle.
-            let occupied = shared.queues.len[next_chan].load(Relaxed)
-                + shared.queues.staged_len[next_chan].load(Relaxed);
-            let has_room = occupied < shared.buffers;
-            // The one move the class order cannot rank — a top-class
-            // packet wrapping again — is never allowed to block (deep
-            // dateline buffers): that waiver is what makes the
-            // dependency graph acyclic outright, so `Backpressure`
-            // with `vcs ≥ 2` provably cannot reach the all-blocked
-            // state the deadlock detector looks for. Tail-drop never
-            // blocks, so it neither needs nor gets the valve.
-            let relief = !has_room
-                && shared.policy == ContentionPolicy::Backpressure
-                && shared.dateline.needs_relief(packet_vc, next_arc);
-            if relief {
-                ws.stats.relief += 1;
-            }
-            if has_room || relief {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                shared.arena.hops(head).store(hops_after, Relaxed);
-                if next_vc > packet_vc {
-                    ws.stats.promotions += 1;
-                }
-                shared.arena.vc(head).store(next_vc as u32, Relaxed);
-                shared.arena.cached_next(head).store(NONE, Relaxed);
-                let staged = shared.queues.staged_len[next_chan].load(Relaxed);
-                shared.queues.staged_len[next_chan].store(staged + 1, Relaxed);
-                ws.staged.push((next_chan as u32, head));
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-            } else {
-                match shared.policy {
-                    ContentionPolicy::TailDrop => {
-                        shared.queues.pop_head(chan, head, shared.arena);
-                        ws.vc_pops[vc] += 1;
-                        ws.freed.push(head);
-                        ws.stats.dropped_full += 1;
-                        ws.stats.departed += 1;
-                        ws.stats.departed_copies += 1;
-                        ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] +=
-                            1;
-                        ws.stats.activity += 1;
-                        budget -= 1;
-                        progressed = true;
-                    }
-                    // Head-of-line block — this class only. With a
-                    // stateless router the blocker is fixed, and
-                    // under boundary credits its room can only
-                    // reappear through a committed pop — so park the
-                    // channel on the blocker's waiter list and stop
-                    // re-checking it every cycle. (Adaptive routers
-                    // may pick a different candidate next cycle:
-                    // they stay ready and are re-asked.)
-                    ContentionPolicy::Backpressure => {
-                        ws.vc_blocked[vc] = true;
-                        if shared.stateless {
-                            shared.parked[chan].store(1, Relaxed);
-                            let first = shared.waiter_head[next_chan].load(Relaxed);
-                            shared.waiter_link[chan].store(first, Relaxed);
-                            shared.waiter_head[next_chan].store(chan as u32, Relaxed);
-                            parked_here += 1;
-                        }
+                // Head-of-line block — this class only. With a
+                // stateless router the blocker is fixed, and under
+                // boundary credits its room can only reappear through
+                // a committed pop — so park the channel on the
+                // blocker's waiter list and stop re-checking it every
+                // cycle. (Adaptive routers may pick a different
+                // candidate next cycle: they stay ready and are
+                // re-asked.)
+                Head::Blocked(blocker) => {
+                    ws.vc_blocked[vc] = true;
+                    if shared.stateless {
+                        shared.parked[chan].store(1, Relaxed);
+                        let first = shared.waiter_head[blocker].load(Relaxed);
+                        shared.waiter_link[chan].store(first, Relaxed);
+                        shared.waiter_head[blocker].store(chan as u32, Relaxed);
+                        parked_here += 1;
                     }
                 }
             }
@@ -1757,181 +1595,257 @@ fn drain_arc(shared: &SharedRun, arc: usize, node: u64, cycle: u64, ws: &mut Wor
     }
 }
 
-/// Drain one arc of a multicast run: up to `wavelengths` copies off
-/// its VC FIFO heads. A drained copy delivers to the requests at its
-/// tree arc's head and **replicates** — one staged child copy per
-/// child tree arc, each promoted per its own arc's dateline crossing.
-/// Under backpressure the branch is all-or-nothing: it blocks (and
-/// parks — trees are static, so the blocker is fixed) until every
-/// non-relief child FIFO has room; under tail-drop a full child
-/// drops with its entire subtree weight while its siblings proceed.
-fn drain_arc_mc(
+/// The unicast drain step: deliver a packet at its destination, retire
+/// one past its hop budget, else route it one hop — re-querying once
+/// when the chosen beam is dead — and move it when the next channel
+/// has room (or dateline relief waives the cap). A full channel drops
+/// the packet under tail-drop and blocks it under backpressure.
+#[inline]
+fn unicast_step(
     shared: &SharedRun,
-    trees: &TreeSet,
+    ws: &mut WorkerScratch,
     arc: usize,
+    chan: usize,
     node: u64,
     cycle: u64,
+    head: u32,
+) -> Head {
+    // ORDERING: Relaxed — see `drain_arc`.
+    let dst = shared.arena.dst(head).load(Relaxed);
+    let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
+    let class = usize::from(shared.hot_dst == Some(dst as u64));
+    if dst as u64 == node {
+        ws.freed.push(head);
+        ws.stats.delivered += 1;
+        ws.stats.departed += 1;
+        ws.stats.departed_copies += 1;
+        ws.stats.class_delivered[class] += 1;
+        ws.stats.delivered_hops += hops_after as u64;
+        if hops_after > ws.stats.max_hops {
+            ws.stats.max_hops = hops_after;
+        }
+        let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
+        shared.delivered_per_link[arc].store(delivered_here + 1, Relaxed);
+        // Total time since offer minus one cycle per hop = cycles
+        // spent waiting (source stall plus queueing).
+        let offered = shared.arena.offered(head).load(Relaxed);
+        let wait = cycle + 1 - offered - hops_after as u64;
+        ws.waits.push(wait);
+        if shared.classified {
+            ws.class_waits[class].push(wait);
+        }
+        return Head::Left;
+    }
+    if hops_after >= shared.hop_limit {
+        ws.freed.push(head);
+        ws.stats.dropped_ttl += 1;
+        ws.stats.departed += 1;
+        ws.stats.departed_copies += 1;
+        ws.stats.class_dropped[class] += 1;
+        return Head::Left;
+    }
+    let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
+    // Stateless routers answer this identically every cycle the head
+    // stays blocked — cache the arc in the packet.
+    let next_arc = if shared.stateless {
+        let cached = shared.arena.cached_next(head).load(Relaxed);
+        if cached != NONE {
+            Some(cached as usize)
+        } else {
+            let computed = shared
+                .route_query(&ws.snapshot, node, dst as u64, packet_vc)
+                .and_then(|next| arc_of(shared.g, node, next));
+            if let Some(found) = computed {
+                shared.arena.cached_next(head).store(found as u32, Relaxed);
+            }
+            computed
+        }
+    } else {
+        shared
+            .router
+            .next_hop_on_vc(node, dst as u64, packet_vc)
+            .and_then(|next| arc_of(shared.g, node, next))
+    };
+    // Dead-target requery: a cached (or freshly proposed) hop onto a
+    // beam that has since faded to zero is re-asked once against the
+    // now-repaired routing. A router that still insists on the dead
+    // beam strands the head — it is pulled out of the fabric and
+    // resolved per the stranded policy at apply, instead of wedging
+    // the class forever behind a link that may never come back.
+    let next_arc = match next_arc {
+        Some(found) if shared.arc_dead(found) => {
+            note_dead_demand(shared, found as u32, cycle);
+            shared.arena.cached_next(head).store(NONE, Relaxed);
+            let fresh = shared
+                .route_query(&ws.snapshot, node, dst as u64, packet_vc)
+                .and_then(|next| arc_of(shared.g, node, next))
+                .filter(|&fresh| !shared.arc_dead(fresh));
+            let Some(fresh) = fresh else {
+                shared.arena.hops(head).store(hops_after, Relaxed);
+                ws.stranded.push((chan as u32, head));
+                return Head::Left;
+            };
+            if shared.stateless {
+                shared.arena.cached_next(head).store(fresh as u32, Relaxed);
+            }
+            Some(fresh)
+        }
+        other => other,
+    };
+    let Some(next_arc) = next_arc else {
+        ws.freed.push(head);
+        ws.stats.dropped_unroutable += 1;
+        ws.stats.departed += 1;
+        ws.stats.departed_copies += 1;
+        ws.stats.class_dropped[class] += 1;
+        return Head::Left;
+    };
+    let next_vc = shared.dateline.next_class_arc(packet_vc, next_arc);
+    let next_chan = next_arc * shared.vcs + next_vc as usize;
+    // Boundary credits: committed occupancy plus this cycle's staged
+    // arrivals; same-cycle pops become room next cycle.
+    let staged = shared.queues.staged_len[next_chan].load(Relaxed);
+    let has_room = shared.queues.len[next_chan].load(Relaxed) + staged < shared.buffers;
+    // The one move the class order cannot rank — a top-class packet
+    // wrapping again — is never allowed to block (deep dateline
+    // buffers): that waiver is what makes the dependency graph acyclic
+    // outright, so `Backpressure` with `vcs ≥ 2` provably cannot reach
+    // the all-blocked state the deadlock detector looks for. Tail-drop
+    // never blocks, so it neither needs nor gets the valve.
+    let relief = !has_room
+        && shared.policy == ContentionPolicy::Backpressure
+        && shared.dateline.needs_relief(packet_vc, next_arc);
+    if has_room || relief {
+        if relief {
+            ws.stats.relief += 1;
+        }
+        shared.arena.hops(head).store(hops_after, Relaxed);
+        if next_vc > packet_vc {
+            ws.stats.promotions += 1;
+        }
+        shared.arena.vc(head).store(next_vc as u32, Relaxed);
+        shared.arena.cached_next(head).store(NONE, Relaxed);
+        shared.queues.staged_len[next_chan].store(staged + 1, Relaxed);
+        ws.staged.push((next_chan as u32, head));
+        return Head::Left;
+    }
+    match shared.policy {
+        ContentionPolicy::TailDrop => {
+            ws.freed.push(head);
+            ws.stats.dropped_full += 1;
+            ws.stats.departed += 1;
+            ws.stats.departed_copies += 1;
+            ws.stats.class_dropped[class] += 1;
+            Head::Left
+        }
+        ContentionPolicy::Backpressure => Head::Blocked(next_chan),
+    }
+}
+
+/// The multicast drain step: a drained copy delivers to the requests
+/// at its tree arc's head and **replicates** — one staged child copy
+/// per child tree arc, each promoted per its own arc's dateline
+/// crossing. Under backpressure the branch is all-or-nothing: it
+/// blocks on the first full child that relief does not exempt (trees
+/// are static, so the blocker is fixed); under tail-drop a full child
+/// drops with its entire subtree weight while its siblings proceed.
+#[inline]
+fn tree_step(
+    shared: &SharedRun,
+    trees: &TreeSet,
     ws: &mut WorkerScratch,
-) {
-    // ORDERING: Relaxed — same ownership discipline as `drain_arc`:
-    // this worker owns the arc's target node, so the FIFO heads,
-    // parking words, and per-arc delivery counter are single-writer
-    // here, staged child copies bump channels whose source node is
-    // this node, and all cross-phase visibility rides the barrier.
-    let vcs = shared.vcs;
-    let vc_start = cycle as usize % vcs;
-    let mut budget = shared.wavelengths;
-    let mut parked_here = 0u32;
-    ws.vc_blocked[..vcs].fill(false);
-    ws.vc_pops[..vcs].fill(0);
-    'link: loop {
-        let mut progressed = false;
-        for offset in 0..vcs {
-            if budget == 0 {
-                break 'link;
-            }
-            let vc = (vc_start + offset) % vcs;
-            if ws.vc_blocked[vc] {
-                continue;
-            }
-            let chan = arc * vcs + vc;
-            if shared.parked[chan].load(Relaxed) != 0 {
-                ws.vc_blocked[vc] = true;
-                continue;
-            }
-            let head = shared.queues.head[chan].load(Relaxed);
-            if head == NONE {
-                ws.vc_blocked[vc] = true;
-                continue;
-            }
-            let t = shared.arena.dst(head).load(Relaxed);
-            let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
-            debug_assert_eq!(trees.fabric_arc(t), arc, "copy rode the wrong link");
-            if hops_after >= shared.hop_limit {
-                // Unreachable for honest trees (depth ≤ diameter), but
-                // the budget stays authoritative: the whole subtree
-                // retires.
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                ws.stats.dropped_ttl += trees.weight(t) as usize;
-                ws.stats.departed += trees.weight(t) as usize;
-                ws.stats.departed_copies += 1;
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            }
-            let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
-            let children = trees.children(t);
-            if shared.policy == ContentionPolicy::Backpressure {
-                // All-or-nothing branch: find the first child whose
-                // FIFO is full and not relief-exempt.
-                let blocker = children.iter().find_map(|&child| {
-                    let child_arc = trees.fabric_arc(child);
-                    let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
-                    let child_chan = child_arc * vcs + child_vc as usize;
-                    let occupied = shared.queues.len[child_chan].load(Relaxed)
-                        + shared.queues.staged_len[child_chan].load(Relaxed);
-                    (occupied >= shared.buffers
-                        && !shared.dateline.needs_relief(packet_vc, child_arc))
-                    .then_some(child_chan)
-                });
-                if let Some(blocking_chan) = blocker {
-                    // Head-of-line block, this class only; the tree is
-                    // static, so park on the blocker until it pops.
-                    ws.vc_blocked[vc] = true;
-                    shared.parked[chan].store(1, Relaxed);
-                    let first = shared.waiter_head[blocking_chan].load(Relaxed);
-                    shared.waiter_link[chan].store(first, Relaxed);
-                    shared.waiter_head[blocking_chan].store(chan as u32, Relaxed);
-                    parked_here += 1;
+    arc: usize,
+    cycle: u64,
+    head: u32,
+) -> Head {
+    // ORDERING: Relaxed — see `drain_arc`; the replicated copies'
+    // ids come from this worker's own pool.
+    let t = shared.arena.dst(head).load(Relaxed);
+    let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
+    debug_assert_eq!(trees.fabric_arc(t), arc, "copy rode the wrong link");
+    if hops_after >= shared.hop_limit {
+        // Unreachable for honest trees (depth ≤ diameter), but the
+        // budget stays authoritative: the whole subtree retires.
+        ws.freed.push(head);
+        ws.stats.dropped_ttl += trees.weight(t) as usize;
+        ws.stats.departed += trees.weight(t) as usize;
+        ws.stats.departed_copies += 1;
+        return Head::Left;
+    }
+    let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
+    let children = trees.children(t);
+    let child_chan = |child: u32| {
+        let child_arc = trees.fabric_arc(child);
+        let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
+        (
+            child_arc,
+            child_vc,
+            child_arc * shared.vcs + child_vc as usize,
+        )
+    };
+    let occupied = |chan: usize| {
+        shared.queues.len[chan].load(Relaxed) + shared.queues.staged_len[chan].load(Relaxed)
+    };
+    if shared.policy == ContentionPolicy::Backpressure {
+        // All-or-nothing branch: find the first child whose FIFO is
+        // full and not relief-exempt.
+        let blocker = children.iter().find_map(|&child| {
+            let (child_arc, _, chan) = child_chan(child);
+            (occupied(chan) >= shared.buffers
+                && !shared.dateline.needs_relief(packet_vc, child_arc))
+            .then_some(chan)
+        });
+        if let Some(blocker) = blocker {
+            return Head::Blocked(blocker);
+        }
+    }
+    // Commit: the copy leaves this FIFO, delivers its requests, and
+    // replicates into its children.
+    let offered = shared.arena.offered(head).load(Relaxed);
+    let deliveries = trees.deliveries(t) as usize;
+    if deliveries > 0 {
+        ws.stats.delivered += deliveries;
+        ws.stats.departed += deliveries;
+        ws.stats.delivered_hops += deliveries as u64 * hops_after as u64;
+        if hops_after > ws.stats.max_hops {
+            ws.stats.max_hops = hops_after;
+        }
+        let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
+        shared.delivered_per_link[arc].store(delivered_here + deliveries as u64, Relaxed);
+        let wait = cycle + 1 - offered - hops_after as u64;
+        ws.waits.extend(std::iter::repeat_n(wait, deliveries));
+    }
+    for &child in children {
+        let (_, child_vc, chan) = child_chan(child);
+        if occupied(chan) >= shared.buffers {
+            match shared.policy {
+                ContentionPolicy::TailDrop => {
+                    // The full child's whole subtree drops; its
+                    // siblings still replicate.
+                    ws.stats.dropped_full += trees.weight(child) as usize;
+                    ws.stats.departed += trees.weight(child) as usize;
                     continue;
                 }
-            }
-            // Commit: the copy leaves this FIFO, delivers its
-            // requests, and replicates into its children.
-            shared.queues.pop_head(chan, head, shared.arena);
-            ws.vc_pops[vc] += 1;
-            let offered = shared.arena.offered(head).load(Relaxed);
-            let deliveries = trees.deliveries(t) as usize;
-            if deliveries > 0 {
-                ws.stats.delivered += deliveries;
-                ws.stats.departed += deliveries;
-                ws.stats.delivered_hops += deliveries as u64 * hops_after as u64;
-                if hops_after > ws.stats.max_hops {
-                    ws.stats.max_hops = hops_after;
-                }
-                let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
-                shared.delivered_per_link[arc].store(delivered_here + deliveries as u64, Relaxed);
-                let wait = cycle + 1 - offered - hops_after as u64;
-                for _ in 0..deliveries {
-                    ws.waits.push(wait);
-                }
-            }
-            for &child in children {
-                let child_arc = trees.fabric_arc(child);
-                let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
-                let child_chan = child_arc * vcs + child_vc as usize;
-                let staged = shared.queues.staged_len[child_chan].load(Relaxed);
-                let occupied = shared.queues.len[child_chan].load(Relaxed) + staged;
-                if occupied >= shared.buffers {
-                    match shared.policy {
-                        ContentionPolicy::TailDrop => {
-                            // The full child's whole subtree drops;
-                            // its siblings still replicate.
-                            ws.stats.dropped_full += trees.weight(child) as usize;
-                            ws.stats.departed += trees.weight(child) as usize;
-                            continue;
-                        }
-                        // Backpressure screened above: a full child
-                        // here is the relief move, admitted past the
-                        // cap (deep dateline buffers).
-                        ContentionPolicy::Backpressure => ws.stats.relief += 1,
-                    }
-                }
-                if child_vc > packet_vc {
-                    ws.stats.promotions += 1;
-                }
-                shared.queues.staged_len[child_chan].store(staged + 1, Relaxed);
-                ws.spawned.push(Spawn {
-                    chan: child_chan as u32,
-                    tree_arc: child,
-                    offered,
-                    hops: hops_after,
-                    vc: child_vc,
-                });
-                ws.stats.spawned_copies += 1;
-            }
-            ws.freed.push(head);
-            ws.stats.departed_copies += 1;
-            ws.stats.activity += 1;
-            budget -= 1;
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    // Batch pops and settle the node's ready count — same contract as
-    // the unicast drain.
-    let mut ready_loss = parked_here;
-    for vc in 0..vcs {
-        let popped = ws.vc_pops[vc];
-        if popped > 0 {
-            let chan = arc * vcs + vc;
-            ws.pops.push((chan as u32, popped));
-            if shared.parked[chan].load(Relaxed) == 0
-                && shared.queues.head[chan].load(Relaxed) == NONE
-            {
-                ready_loss += 1;
+                // Backpressure screened above: a full child here is
+                // the relief move, admitted past the cap (deep
+                // dateline buffers).
+                ContentionPolicy::Backpressure => ws.stats.relief += 1,
             }
         }
+        if child_vc > packet_vc {
+            ws.stats.promotions += 1;
+        }
+        let staged = shared.queues.staged_len[chan].load(Relaxed);
+        shared.queues.staged_len[chan].store(staged + 1, Relaxed);
+        let id = claim_id(shared, ws);
+        shared.arena.init(id, child, offered, child_vc);
+        shared.arena.hops(id).store(hops_after, Relaxed);
+        ws.staged.push((chan as u32, id));
+        ws.stats.spawned_copies += 1;
     }
-    if ready_loss > 0 {
-        let ready = shared.node_ready[node as usize].load(Relaxed);
-        shared.node_ready[node as usize].store(ready - ready_loss, Relaxed);
-    }
+    ws.freed.push(head);
+    ws.stats.departed_copies += 1;
+    Head::Left
 }
 
 /// Fire every timeline transition due at this cycle: store the new
@@ -2248,7 +2162,7 @@ fn apply(
     // merges first.
     let mut entered = 0usize;
     let mut departed = 0usize;
-    let mut spawned_copies = 0usize;
+    let mut claimed_copies = 0usize;
     let mut departed_copies = 0usize;
     for cell in scratches {
         let mut ws = cell.lock().expect("apply scratch");
@@ -2297,12 +2211,12 @@ fn apply(
         ws.emptied.clear();
         let stats = std::mem::take(&mut ws.stats);
         activity += stats.activity;
+        main.consumed += stats.consumed;
         main.injected += stats.injected;
-        main.pending -= stats.injected;
         main.delivered += stats.delivered;
         entered += stats.entered;
         departed += stats.departed;
-        spawned_copies += stats.spawned_copies;
+        claimed_copies += stats.entered_copies + stats.spawned_copies;
         departed_copies += stats.departed_copies;
         main.replicated += stats.spawned_copies as u64;
         main.dropped_full += stats.dropped_full;
@@ -2333,7 +2247,7 @@ fn apply(
     }
     main.in_network += entered;
     main.in_network -= departed;
-    main.in_copies += entered + spawned_copies;
+    main.in_copies += claimed_copies;
     main.in_copies -= departed_copies;
     // Dead-target strands from the drain resolve here. Cross-worker
     // order is normalized by channel id: each channel has exactly one
@@ -2367,22 +2281,9 @@ fn apply(
             push_packet(shared, chan as usize, id, main.cycle);
         }
         ws.staged.clear();
-        // Replications land after moves: per channel both sequences
-        // are the source node's drain order, so the arrival order is a
-        // pure function of the cycle state, not the worker layout.
-        for spawn in ws.spawned.drain(..) {
-            shared.queues.staged_len[spawn.chan as usize].store(0, Relaxed);
-            let id = allocator.claim();
-            shared
-                .arena
-                .init(id, spawn.tree_arc, spawn.offered, spawn.vc);
-            shared.arena.hops(id).store(spawn.hops, Relaxed);
-            push_packet(shared, spawn.chan as usize, id, main.cycle);
-        }
     }
-    // Woken unicast sources rejoin their owner's inject list (the
-    // multicast scan needs no list; its sources have no entry queue,
-    // so the head check skips them).
+    // Woken sources with entries still pending rejoin their owner's
+    // inject list.
     for woken in main.woken.drain(..) {
         let src = woken as usize;
         if shared.src_listed[src].load(Relaxed) == 0 && shared.src_head[src].load(Relaxed) != NONE {
@@ -2505,7 +2406,7 @@ fn finish(
             .iter()
             .map(|count| count.load(Relaxed))
             .collect(),
-        multicast_groups: main.groups_injected,
+        multicast_groups: trees.map_or(0, |_| main.consumed),
         replicated_copies: main.replicated,
         multicast_forwarding_index: trees.map_or(0, TreeSet::forwarding_index),
         class_stats,

@@ -241,6 +241,10 @@ pub(crate) fn digit_transpose(value: u64, d: u64, digits: u32) -> u64 {
 /// [`Permutation`]: TrafficPattern::Permutation
 pub struct WorkloadSource {
     packets: usize,
+    /// The largest source any pair may name (`None` for an empty
+    /// stream): a generated feed's top node, or an explicit list's
+    /// largest source.
+    max_source: Option<u64>,
     feed: Feed,
 }
 
@@ -275,6 +279,7 @@ impl WorkloadSource {
         let pairs = pairs.into();
         WorkloadSource {
             packets: pairs.len(),
+            max_source: pairs.iter().map(|&(src, _)| src).max(),
             feed: Feed::Pairs(pairs),
         }
     }
@@ -310,6 +315,7 @@ impl WorkloadSource {
         };
         WorkloadSource {
             packets,
+            max_source: (packets > 0).then_some(n - 1),
             feed: Feed::Generated(Generator {
                 pattern,
                 n,
@@ -329,6 +335,13 @@ impl WorkloadSource {
     /// True iff the stream has no pairs.
     pub fn is_empty(&self) -> bool {
         self.packets == 0
+    }
+
+    /// An upper bound on every source in the stream, known without
+    /// decoding it: the generated node space's top node, or an
+    /// explicit list's largest source. `None` for an empty stream.
+    pub(crate) fn max_source(&self) -> Option<u64> {
+        self.max_source
     }
 
     /// Number of chunks ([`Self::CHUNK`] indices each, last partial).

@@ -16,7 +16,9 @@ use otis::core::{DeBruijn, DigraphFamily, DynamicRoutingTable, Router, RoutingTa
 use otis::layout::LayoutSpec;
 use otis::optics::faults::{surviving_digraph, FaultSet};
 use otis::optics::simulator::OtisSimulator;
-use otis::optics::traffic::{generate_workload, TrafficEngine, TrafficPattern, TrafficReport};
+use otis::optics::traffic::{
+    generate_workload, TrafficEngine, TrafficPattern, TrafficReport, WorkloadSource,
+};
 
 struct Fabric {
     name: String,
@@ -56,7 +58,10 @@ impl Fabric {
     /// Run the B-space workload on this fabric through any router.
     fn run_with(&self, router: &dyn Router, workload_b: &[(u64, u64)]) -> TrafficReport {
         let engine = TrafficEngine::new(&self.sim);
-        engine.run(router, &self.translate(workload_b))
+        engine.run(
+            router,
+            &WorkloadSource::from_pairs(self.translate(workload_b)),
+        )
     }
 
     /// Run the B-space workload through a precomputed table router.
