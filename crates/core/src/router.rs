@@ -809,7 +809,10 @@ pub struct Dateline {
     classes: u8,
     g: std::sync::Arc<Digraph>,
     /// `wrap[arc]` — true iff the `arc`-th arc crosses the dateline.
-    wrap: std::sync::Arc<[bool]>,
+    /// Computed at construction when there are two or more classes. A
+    /// single-class dateline never promotes, so it computes the set
+    /// only when asked ([`Dateline::crosses_arc`] and friends).
+    wrap: std::sync::OnceLock<std::sync::Arc<[bool]>>,
 }
 
 impl Dateline {
@@ -822,12 +825,23 @@ impl Dateline {
             (1..=u8::MAX as usize).contains(&classes),
             "need 1..=255 virtual channel classes, got {classes}"
         );
-        let wrap = otis_digraph::feedback::feedback_arcs(&g);
-        Dateline {
+        let dateline = Dateline {
             classes: classes as u8,
             g,
-            wrap: wrap.into(),
+            wrap: std::sync::OnceLock::new(),
+        };
+        if classes >= 2 {
+            dateline.wrap();
         }
+        dateline
+    }
+
+    /// The wrap set, a feedback arc set of the fabric, computed on
+    /// first use.
+    #[inline]
+    fn wrap(&self) -> &[bool] {
+        self.wrap
+            .get_or_init(|| otis_digraph::feedback::feedback_arcs(&self.g).into())
     }
 
     /// Number of virtual channel classes per link.
@@ -837,14 +851,14 @@ impl Dateline {
 
     /// How many arcs of the fabric cross the dateline.
     pub fn wrap_arc_count(&self) -> usize {
-        self.wrap.iter().filter(|&&wrap| wrap).count()
+        self.wrap().iter().filter(|&&wrap| wrap).count()
     }
 
     /// True iff the `arc`-th arc (arc order of the fabric digraph)
     /// crosses the dateline.
     #[inline]
     pub fn crosses_arc(&self, arc: usize) -> bool {
-        self.wrap[arc]
+        self.wrap()[arc]
     }
 
     /// True iff the hop `from → to` crosses the dateline; `false` for
@@ -856,15 +870,18 @@ impl Dateline {
         }
         self.g
             .arc_between(from as u32, to as u32)
-            .is_some_and(|arc| self.wrap[arc])
+            .is_some_and(|arc| self.wrap()[arc])
     }
 
     /// The class a packet on class `vc` occupies after taking the
     /// `arc`-th arc: promoted past each dateline crossing, saturating
-    /// at the top class.
+    /// at the top class. Always class 0 with a single class, which
+    /// never reads the wrap set.
     #[inline]
     pub fn next_class_arc(&self, vc: u8, arc: usize) -> u8 {
-        if self.wrap[arc] {
+        if self.classes == 1 {
+            0
+        } else if self.wrap()[arc] {
             (vc + 1).min(self.classes - 1)
         } else {
             vc
@@ -873,7 +890,9 @@ impl Dateline {
 
     /// As [`Dateline::next_class_arc`] by endpoints.
     pub fn next_class(&self, vc: u8, from: u64, to: u64) -> u8 {
-        if self.crosses(from, to) {
+        if self.classes == 1 {
+            0
+        } else if self.crosses(from, to) {
             (vc + 1).min(self.classes - 1)
         } else {
             vc
@@ -889,7 +908,7 @@ impl Dateline {
     /// detect-and-report behavior.
     #[inline]
     pub fn needs_relief(&self, vc: u8, arc: usize) -> bool {
-        self.classes >= 2 && vc == self.classes - 1 && self.wrap[arc]
+        self.classes >= 2 && vc == self.classes - 1 && self.wrap()[arc]
     }
 }
 
@@ -1665,6 +1684,40 @@ mod tests {
             1,
         );
         assert!(!one.needs_relief(0, 5));
+    }
+
+    #[test]
+    fn single_class_dateline_never_promotes_and_computes_its_wrap_set_only_if_asked() {
+        // One class never reads the wrap set on the hop path, so
+        // construction skips the feedback-arc DFS; asking for the set
+        // computes it, and it is the same set two classes compute
+        // eagerly.
+        let g = std::sync::Arc::new(DeBruijn::new(2, 5).digraph());
+        let one = Dateline::new(std::sync::Arc::clone(&g), 1);
+        assert!(one.wrap.get().is_none(), "computed eagerly at one class");
+        for arc in 0..g.arc_count() {
+            assert_eq!(one.next_class_arc(0, arc), 0);
+            assert!(!one.needs_relief(0, arc));
+        }
+        for u in 0..g.node_count() as u32 {
+            for &v in g.out_neighbors(u) {
+                assert_eq!(one.next_class(0, u64::from(u), u64::from(v)), 0);
+            }
+        }
+        assert!(one.wrap.get().is_none(), "promotion read the wrap set");
+        let two = Dateline::new(std::sync::Arc::clone(&g), 2);
+        assert!(two.wrap.get().is_some(), "two classes compute it up front");
+        assert_eq!(one.wrap_arc_count(), two.wrap_arc_count());
+        for arc in 0..g.arc_count() {
+            assert_eq!(one.crosses_arc(arc), two.crosses_arc(arc), "arc {arc}");
+        }
+        for u in 0..g.node_count() as u32 {
+            for &v in g.out_neighbors(u) {
+                let (u, v) = (u64::from(u), u64::from(v));
+                assert_eq!(one.crosses(u, v), two.crosses(u, v), "{u}->{v}");
+            }
+        }
+        assert!(two.wrap_arc_count() > 0, "the wrap set is not empty");
     }
 
     #[test]

@@ -156,7 +156,20 @@ const NO_ARC: u32 = u32::MAX;
 /// index** of the BCube analysis in PAPERS.md; `max(leaf load per
 /// link)` is its unicast counterpart, and the gap between the two is
 /// the replication the tree saved.
-#[derive(Debug, Clone)]
+///
+/// Child lists are one CSR over the arcs — [`MulticastTree::child_arcs`]
+/// slices a single flat array, ascending — not a `Vec` per arc. A tree
+/// is also reusable: [`MulticastTree::rebuild`] refills it in place
+/// for a new root and destination set, keeping every buffer's capacity
+/// and the dense node → incoming-arc table construction runs on. That
+/// table is sized by the fabric but reset only at the previous tree's
+/// own endpoints, so a run that builds thousands of trees on one
+/// fabric allocates it once and clears `O(tree arcs)` per tree, not
+/// `O(n)`. Every tree carries that table (4 bytes per fabric node) for
+/// as long as it lives, so keep one tree per builder, not one per
+/// group. `MulticastTree::default()` is the empty tree (root 0, no
+/// requests) to rebuild from.
+#[derive(Clone, Default)]
 pub struct MulticastTree {
     root: u64,
     /// `(parent, child)` fabric arcs, parents before children.
@@ -169,8 +182,10 @@ pub struct MulticastTree {
     delivers: Vec<bool>,
     /// Requested destinations in the subtree under the arc.
     leaf_load: Vec<u64>,
-    /// Child arc indices per arc, same indexing.
-    children: Vec<Vec<u32>>,
+    /// CSR child lists: `children[child_off[a]..child_off[a + 1]]` are
+    /// arc `a`'s child arc indices, ascending.
+    child_off: Vec<u32>,
+    children: Vec<u32>,
     /// Arc indices hanging directly off the root.
     root_arcs: Vec<u32>,
     /// How many times the root itself was requested (delivered at the
@@ -178,6 +193,33 @@ pub struct MulticastTree {
     self_requests: usize,
     /// Requested destinations with no route from the root.
     unreachable: Vec<u64>,
+    /// Construction scratch: node → index of its (unique) incoming
+    /// tree arc ([`NO_ARC`] = not in the tree), dense over the largest
+    /// fabric this tree was built on. Pure lookups, so a map would buy
+    /// nothing but hashing, and the dense table keeps construction
+    /// order-deterministic by construction. Entries are set only at
+    /// child endpoints of [`Self::arcs`], which is what lets a rebuild
+    /// clear exactly those.
+    incoming: Vec<u32>,
+}
+
+impl std::fmt::Debug for MulticastTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The fabric-sized construction scratch is not part of the tree.
+        f.debug_struct("MulticastTree")
+            .field("root", &self.root)
+            .field("arcs", &self.arcs)
+            .field("parent_arc", &self.parent_arc)
+            .field("depth", &self.depth)
+            .field("delivers", &self.delivers)
+            .field("leaf_load", &self.leaf_load)
+            .field("child_off", &self.child_off)
+            .field("children", &self.children)
+            .field("root_arcs", &self.root_arcs)
+            .field("self_requests", &self.self_requests)
+            .field("unreachable", &self.unreachable)
+            .finish_non_exhaustive()
+    }
 }
 
 impl MulticastTree {
@@ -185,97 +227,84 @@ impl MulticastTree {
     /// shortest-path next hops. Duplicate destinations are delivered
     /// once per request (`leaf_load` counts requests); destinations
     /// the router cannot reach are recorded in
-    /// [`MulticastTree::unreachable`].
+    /// [`MulticastTree::unreachable`]. An empty tree plus
+    /// [`MulticastTree::rebuild`] — to build many trees, rebuild one.
     pub fn build(router: &dyn Router, root: u64, dsts: &[u64]) -> Self {
+        let mut tree = MulticastTree::default();
+        tree.rebuild(router, root, dsts);
+        tree
+    }
+
+    /// Refill this tree in place as the delivery tree for `root →
+    /// dsts` over `router`: the same tree [`MulticastTree::build`]
+    /// returns, on every accessor. Every buffer is cleared and
+    /// refilled, keeping its capacity; the node → incoming-arc table
+    /// is reset only at the previous tree's endpoints (`O(previous
+    /// arcs)`) and grown when `router` covers a larger fabric than any
+    /// earlier build. Panics, leaving the tree untouched, when `root`
+    /// is not a fabric node.
+    pub fn rebuild(&mut self, router: &dyn Router, root: u64, dsts: &[u64]) {
         let n = router.node_count();
         assert!(
             root < n,
             "root {root} is not a fabric node (fabric has {n})"
         );
+        self.reset(root, n);
         let hop_limit = n.max(64);
-        let mut tree = MulticastTree {
-            root,
-            arcs: Vec::new(),
-            parent_arc: Vec::new(),
-            depth: Vec::new(),
-            delivers: Vec::new(),
-            leaf_load: Vec::new(),
-            children: Vec::new(),
-            root_arcs: Vec::new(),
-            self_requests: 0,
-            unreachable: Vec::new(),
-        };
-        // node → index of its (unique) incoming tree arc, dense over
-        // the fabric ([`NO_ARC`] = not in the tree): pure lookups, so
-        // a map would buy nothing but hashing — and the dense table
-        // keeps tree construction order-deterministic by construction.
-        let mut incoming: Vec<u32> = vec![NO_ARC; n as usize];
         'dst: for &dst in dsts {
             if dst == root {
-                tree.self_requests += 1;
+                self.self_requests += 1;
                 continue;
             }
             if dst >= n {
                 // Off-fabric destination: unreachable by definition,
                 // before any router is asked about it.
-                tree.unreachable.push(dst);
+                self.unreachable.push(dst);
                 continue;
             }
-            if incoming[dst as usize] == NO_ARC {
+            if self.incoming[dst as usize] == NO_ARC {
                 // Walk the router's shortest path, adding unseen arcs.
                 let mut current = root;
                 let mut hops = 0u64;
                 while current != dst {
                     hops += 1;
                     if hops > hop_limit {
-                        tree.unreachable.push(dst); // routing loop
+                        self.unreachable.push(dst); // routing loop
                         continue 'dst;
                     }
                     let Some(next) = router.next_hop(current, dst) else {
-                        tree.unreachable.push(dst);
+                        self.unreachable.push(dst);
                         continue 'dst;
                     };
                     if next >= n {
                         // Router proposed an off-fabric hop.
-                        tree.unreachable.push(dst);
+                        self.unreachable.push(dst);
                         continue 'dst;
                     }
-                    if incoming[next as usize] == NO_ARC {
-                        let index = tree.arcs.len() as u32;
+                    if self.incoming[next as usize] == NO_ARC {
                         let parent = if current == root {
-                            tree.root_arcs.push(index);
                             NO_ARC
                         } else {
-                            incoming[current as usize]
+                            self.incoming[current as usize]
                         };
-                        tree.arcs.push((current, next));
-                        tree.parent_arc.push(parent);
-                        tree.depth.push(if parent == NO_ARC {
-                            1
-                        } else {
-                            tree.depth[parent as usize] + 1
-                        });
-                        tree.delivers.push(false);
-                        tree.leaf_load.push(0);
-                        incoming[next as usize] = index;
+                        self.push_arc(current, next, parent, false);
                     }
                     current = next;
                 }
             }
             // Charge the request up the tree chain to the root.
-            let arc = incoming[dst as usize];
-            tree.delivers[arc as usize] = true;
+            let arc = self.incoming[dst as usize];
+            self.delivers[arc as usize] = true;
             let mut chain = arc;
             loop {
-                tree.leaf_load[chain as usize] += 1;
-                if tree.parent_arc[chain as usize] == NO_ARC {
+                self.leaf_load[chain as usize] += 1;
+                if self.parent_arc[chain as usize] == NO_ARC {
                     break;
                 }
-                chain = tree.parent_arc[chain as usize];
+                chain = self.parent_arc[chain as usize];
             }
         }
-        tree.link_children();
-        tree
+        self.link_children();
     }
 
     /// The full-fabric broadcast tree from `root` on `B(d, D)`,
@@ -285,44 +314,23 @@ impl MulticastTree {
     pub fn broadcast(b: &DeBruijn, root: u64) -> Self {
         let n = b.node_count();
         assert!(root < n, "root {root} is not a vertex of {}", b.name());
-        let mut tree = MulticastTree {
-            root,
-            arcs: Vec::new(),
-            parent_arc: Vec::new(),
-            depth: Vec::new(),
-            delivers: Vec::new(),
-            leaf_load: Vec::new(),
-            children: Vec::new(),
-            root_arcs: Vec::new(),
-            self_requests: 0,
-            unreachable: Vec::new(),
-        };
-        // Dense node → incoming-arc table, as in [`MulticastTree::build`].
-        let mut incoming: Vec<u32> = vec![NO_ARC; n as usize];
+        let mut tree = MulticastTree::default();
+        tree.reset(root, n);
         let mut frontier = vec![root];
-        let mut level = 0u32;
         while !frontier.is_empty() {
-            level += 1;
             let mut next_frontier = Vec::new();
             for &u in &frontier {
                 for k in 0..b.degree() {
                     let v = b.out_neighbor(u, k);
-                    if v == root || incoming[v as usize] != NO_ARC {
+                    if v == root || tree.incoming[v as usize] != NO_ARC {
                         continue;
                     }
-                    let index = tree.arcs.len() as u32;
                     let parent = if u == root {
-                        tree.root_arcs.push(index);
                         NO_ARC
                     } else {
-                        incoming[u as usize]
+                        tree.incoming[u as usize]
                     };
-                    tree.arcs.push((u, v));
-                    tree.parent_arc.push(parent);
-                    tree.depth.push(level);
-                    tree.delivers.push(true);
-                    tree.leaf_load.push(0);
-                    incoming[v as usize] = index;
+                    tree.push_arc(u, v, parent, true);
                     next_frontier.push(v);
                 }
             }
@@ -341,13 +349,74 @@ impl MulticastTree {
         tree
     }
 
+    /// Empty the tree for `root` on an `n`-node fabric: clear the
+    /// node → arc table at the previous tree's child endpoints (the
+    /// only entries it holds), grow it to `n` nodes if it is smaller,
+    /// and clear every per-arc buffer, keeping capacity.
+    fn reset(&mut self, root: u64, n: u64) {
+        for &(_, child) in &self.arcs {
+            self.incoming[child as usize] = NO_ARC;
+        }
+        if self.incoming.len() < n as usize {
+            self.incoming.resize(n as usize, NO_ARC);
+        }
+        self.root = root;
+        self.arcs.clear();
+        self.parent_arc.clear();
+        self.depth.clear();
+        self.delivers.clear();
+        self.leaf_load.clear();
+        self.root_arcs.clear();
+        self.self_requests = 0;
+        self.unreachable.clear();
+    }
+
+    /// Append the arc `from → to` under `parent` ([`NO_ARC`] = off the
+    /// root) with zero leaf load, one level below its parent, and
+    /// record it as `to`'s incoming arc.
+    fn push_arc(&mut self, from: u64, to: u64, parent: u32, delivers: bool) {
+        let index = self.arcs.len() as u32;
+        let depth = if parent == NO_ARC {
+            self.root_arcs.push(index);
+            1
+        } else {
+            self.depth[parent as usize] + 1
+        };
+        self.arcs.push((from, to));
+        self.parent_arc.push(parent);
+        self.depth.push(depth);
+        self.delivers.push(delivers);
+        self.leaf_load.push(0);
+        self.incoming[to as usize] = index;
+    }
+
+    /// Fill the child CSR by a counting sort over parent indices. Row
+    /// sizes land two slots up, so the prefix sum leaves row `p`'s
+    /// start in `child_off[p + 1]`; the ascending fill advances that
+    /// slot to the row's end, which is row `p + 1`'s start — rows come
+    /// out in ascending arc order with no cursor array.
     fn link_children(&mut self) {
-        self.children = vec![Vec::new(); self.arcs.len()];
-        for (arc, &parent) in self.parent_arc.iter().enumerate() {
+        let arcs = self.arcs.len();
+        self.child_off.clear();
+        self.child_off.resize(arcs + 2, 0);
+        for &parent in &self.parent_arc {
             if parent != NO_ARC {
-                self.children[parent as usize].push(arc as u32);
+                self.child_off[parent as usize + 2] += 1;
             }
         }
+        for row in 2..arcs + 2 {
+            self.child_off[row] += self.child_off[row - 1];
+        }
+        self.children.clear();
+        self.children.resize(self.child_off[arcs + 1] as usize, 0);
+        for (arc, &parent) in self.parent_arc.iter().enumerate() {
+            if parent != NO_ARC {
+                let slot = &mut self.child_off[parent as usize + 1];
+                self.children[*slot as usize] = arc as u32;
+                *slot += 1;
+            }
+        }
+        self.child_off.truncate(arcs + 1);
     }
 
     /// The tree's root node.
@@ -392,7 +461,7 @@ impl MulticastTree {
 
     /// Child arc indices of the `arc`-th arc.
     pub fn child_arcs(&self, arc: usize) -> &[u32] {
-        &self.children[arc]
+        &self.children[self.child_off[arc] as usize..self.child_off[arc + 1] as usize]
     }
 
     /// Requests delivered at the `arc`-th arc's child endpoint: its
@@ -400,7 +469,8 @@ impl MulticastTree {
     /// [`MulticastTree::delivers`]; counts duplicates per request, so
     /// deliveries summed over arcs equal [`MulticastTree::reached_leaves`].
     pub fn deliveries_at(&self, arc: usize) -> u64 {
-        let downstream: u64 = self.children[arc]
+        let downstream: u64 = self
+            .child_arcs(arc)
             .iter()
             .map(|&child| self.leaf_load[child as usize])
             .sum();
@@ -494,6 +564,7 @@ pub fn kautz_shortest_path(k: &Kautz, x: &Word, y: &Word) -> Vec<Word> {
 mod tests {
     use super::*;
     use otis_digraph::bfs;
+    use proptest::prelude::*;
 
     #[test]
     fn distance_matches_bfs_exhaustively() {
@@ -654,6 +725,131 @@ mod tests {
         assert_eq!(tree.unreachable(), &[2]);
         assert_eq!(tree.total_leaves(), 2);
         assert_eq!(tree.arc_count(), 1);
+    }
+
+    /// Every public accessor of a tree, arc by arc, for comparing two
+    /// trees.
+    type TreeView = (
+        u64,
+        Vec<((u64, u64), u32, Option<usize>, bool, u64, Vec<u32>, u64)>,
+        Vec<u32>,
+        usize,
+        Vec<u64>,
+        (u64, u64, u32),
+    );
+
+    fn view(tree: &MulticastTree) -> TreeView {
+        let arcs = (0..tree.arc_count())
+            .map(|arc| {
+                (
+                    tree.endpoints(arc),
+                    tree.arc_depth(arc),
+                    tree.parent_arc(arc),
+                    tree.delivers(arc),
+                    tree.leaf_load(arc),
+                    tree.child_arcs(arc).to_vec(),
+                    tree.deliveries_at(arc),
+                )
+            })
+            .collect();
+        (
+            tree.root(),
+            arcs,
+            tree.root_arcs().to_vec(),
+            tree.self_requests(),
+            tree.unreachable().to_vec(),
+            (tree.reached_leaves(), tree.total_leaves(), tree.max_depth()),
+        )
+    }
+
+    /// The node → arc scratch holds an entry exactly at each tree
+    /// arc's child endpoint, naming that arc, and nowhere else.
+    fn scratch_matches_tree(tree: &MulticastTree) -> Result<(), String> {
+        let mut expected = vec![NO_ARC; tree.incoming.len()];
+        for (arc, &(_, child)) in tree.arcs.iter().enumerate() {
+            expected[child as usize] = arc as u32;
+        }
+        prop_assert_eq!(&tree.incoming, &expected, "stale node → arc entries");
+        Ok(())
+    }
+
+    /// Routers over fabrics of four sizes and two families: B(2,3)
+    /// arithmetic, B(2,5) and K(2,3) tables, and B(2,4) behind a
+    /// repairable table with every in-arc of `dead_node` and the
+    /// `dead_extra` arcs killed, so `dead_node` is unreachable from
+    /// every other root.
+    fn rebuild_fabrics(dead_node: u64, dead_extra: &[usize]) -> Vec<Box<dyn Router>> {
+        let b24 = DeBruijn::new(2, 4).digraph();
+        let dead: Vec<usize> = (0..b24.arc_count())
+            .filter(|&arc| u64::from(b24.arc_target(arc)) == dead_node || dead_extra.contains(&arc))
+            .collect();
+        vec![
+            Box::new(crate::DeBruijnRouter::new(DeBruijn::new(2, 3))),
+            Box::new(crate::RoutingTable::from_family(&DeBruijn::new(2, 5))),
+            Box::new(crate::RoutingTable::from_family(&Kautz::new(2, 3))),
+            Box::new(crate::DynamicRoutingTable::with_dead_arcs(
+                &b24,
+                &dead,
+                "faulty B(2,4)",
+            )),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Reusing one tree is unobservable: over a random sequence of
+        /// groups hopping between fabrics of different sizes and
+        /// families, each `rebuild` agrees with a fresh `build` on
+        /// every accessor, and leaves no node → arc entry outside the
+        /// tree it just built. Destinations mix on-fabric nodes
+        /// (duplicates come free on fabrics this small), the root,
+        /// off-fabric ids, repeats of the previous pick and, on the
+        /// faulty fabric, a node no other root can reach. A sequence
+        /// may start from a broadcast tree, whose scratch a rebuild
+        /// must clear too.
+        #[test]
+        fn rebuild_matches_a_fresh_build(
+            dead_node in 0u64..16,
+            dead_extra in proptest::collection::vec(0usize..32, 0..4),
+            start_from_broadcast in any::<bool>(),
+            groups in proptest::collection::vec(
+                (0usize..4, any::<u64>(), proptest::collection::vec((0u8..8, any::<u64>()), 0..12)),
+                1..10,
+            ),
+        ) {
+            let fabrics = rebuild_fabrics(dead_node, &dead_extra);
+            let mut tree = if start_from_broadcast {
+                MulticastTree::broadcast(&DeBruijn::new(2, 4), dead_node)
+            } else {
+                MulticastTree::default()
+            };
+            scratch_matches_tree(&tree)?;
+            for (fabric, root_pick, picks) in groups {
+                let router = fabrics[fabric].as_ref();
+                let n = router.node_count();
+                let root = root_pick % n;
+                let mut dsts: Vec<u64> = Vec::new();
+                for (kind, raw) in picks {
+                    dsts.push(match kind {
+                        0 => root,
+                        1 => n + raw % 8,
+                        2 => dsts.last().copied().unwrap_or(root),
+                        _ => raw % n,
+                    });
+                }
+                if fabric == 3 {
+                    dsts.push(dead_node);
+                }
+                tree.rebuild(router, root, &dsts);
+                let fresh = MulticastTree::build(router, root, &dsts);
+                prop_assert_eq!(view(&tree), view(&fresh));
+                scratch_matches_tree(&tree)?;
+                if fabric == 3 && root != dead_node {
+                    prop_assert!(tree.unreachable().contains(&dead_node));
+                }
+            }
+        }
     }
 
     #[test]

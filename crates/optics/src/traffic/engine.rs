@@ -267,7 +267,8 @@ impl<'a> TrafficEngine<'a> {
     /// story: a branch node replicates the signal, it does not re-send
     /// per leaf. Reports the multicast forwarding index (max trees per
     /// link) alongside the unicast index the same workload would have
-    /// cost with per-leaf copies.
+    /// cost with per-leaf copies. Each chunk of groups rebuilds one
+    /// tree in place ([`MulticastTree::rebuild`]).
     pub fn run_multicast(
         &self,
         router: &dyn Router,
@@ -289,8 +290,9 @@ impl<'a> TrafficEngine<'a> {
             let mut partial = MulticastPartial::new(links);
             let mut arc_latency: Vec<f64> = Vec::new();
             let mut skipped: Vec<bool> = Vec::new();
+            let mut tree = MulticastTree::default();
             for group in &workload[start..end] {
-                let tree = MulticastTree::build(router, group.root, &group.dsts);
+                tree.rebuild(router, group.root, &group.dsts);
                 partial.dropped_leaves += tree.unreachable().len();
                 // Self-requests deliver at the source, zero latency.
                 partial.delivered_leaves += tree.self_requests();

@@ -327,31 +327,41 @@ impl ArenaAllocator {
 
 /// Per-channel FIFO heads/tails plus the occupancy words the drain
 /// phase's room checks read. One entry per (arc, VC) channel,
-/// arc-major — same indexing as the engine's occupancy scoreboard.
-pub(super) struct ChannelQueues {
+/// arc-major — the indexing of the engine's occupancy scoreboard,
+/// which is what `len` borrows.
+pub(super) struct ChannelQueues<'a> {
     /// First packet of the FIFO ([`NONE`] = empty).
     pub head: Vec<AtomicU32>,
     /// Last packet of the FIFO ([`NONE`] = empty).
     pub tail: Vec<AtomicU32>,
-    /// Committed occupancy. Stable during a drain phase (pops are
-    /// batched to the phase boundary), which is what makes room
-    /// checks order- and thread-count-independent: a slot freed this
-    /// cycle becomes claimable next cycle.
-    pub len: Vec<AtomicU32>,
+    /// Committed occupancy: the engine's occupancy scoreboard itself
+    /// (what [`super::LinkOccupancy`] reads), so one store per push
+    /// and pop serves both the room checks and adaptive routers.
+    /// Stable during a drain phase (pops are batched to the phase
+    /// boundary), which is what makes room checks order- and
+    /// thread-count-independent: a slot freed this cycle becomes
+    /// claimable next cycle.
+    pub len: &'a [AtomicU32],
     /// Arrivals staged *this* cycle, counted toward room checks so a
     /// channel is never oversubscribed within the cycle. Written only
     /// by the worker owning the channel's source node.
     pub staged_len: Vec<AtomicU32>,
 }
 
-impl ChannelQueues {
-    pub fn new(channels: usize) -> Self {
-        let zeros = |cap: usize| (0..cap).map(|_| AtomicU32::new(0)).collect();
+impl<'a> ChannelQueues<'a> {
+    /// Empty FIFOs over one channel per `len` word, zeroing `len`.
+    pub fn new(len: &'a [AtomicU32]) -> Self {
+        // ORDERING: Relaxed — the queues are built before any worker
+        // starts; the thread spawn publishes the zeroed counts.
+        for count in len {
+            count.store(0, Relaxed);
+        }
+        let channels = len.len();
         ChannelQueues {
             head: (0..channels).map(|_| AtomicU32::new(NONE)).collect(),
             tail: (0..channels).map(|_| AtomicU32::new(NONE)).collect(),
-            len: zeros(channels),
-            staged_len: zeros(channels),
+            len,
+            staged_len: (0..channels).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -494,7 +504,9 @@ mod tests {
     fn channel_fifo_order() {
         let arena = PacketArena::with_capacity(4);
         let mut ids = ArenaAllocator::new(4);
-        let queues = ChannelQueues::new(2);
+        let len: Vec<AtomicU32> = (0..2).map(|_| AtomicU32::new(7)).collect();
+        let queues = ChannelQueues::new(&len);
+        assert_eq!(queues.len[0].load(Relaxed), 0, "new queues start empty");
         let handles: Vec<u32> = (0..4)
             .map(|i| {
                 let id = ids.claim();

@@ -78,7 +78,7 @@ use otis_core::{CongestionMap, Dateline, DigraphFamily, MulticastTree, Router};
 use otis_digraph::Digraph;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// What happens upstream when a downstream buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -262,6 +262,12 @@ impl CongestionMap for LinkOccupancy {
 /// destinations that turned out unreachable) are pruned here, their
 /// leaves folded into the group's unroutable count, so the cycle loop
 /// only ever sees spawnable copies.
+///
+/// [`TreeSet::build`] drives one [`MulticastTree`] through every group
+/// ([`MulticastTree::rebuild`]) and emits each kept arc's child row
+/// straight from the tree's own CSR: no per-group tree, child-list or
+/// fabric-sized table allocation, and each group clears only the
+/// previous tree's entries of the node → arc table.
 pub(super) struct TreeSet {
     /// Per tree arc: the fabric arc it rides.
     fabric_arc: Vec<u32>,
@@ -289,6 +295,9 @@ pub(super) struct TreeSet {
     forwarding_index: u64,
 }
 
+/// [`TreeSet::build`]'s `global_id` for a pruned tree arc.
+const PRUNED: u32 = u32::MAX;
+
 impl TreeSet {
     /// Flatten `groups`' delivery trees over `router` against fabric
     /// `g`.
@@ -308,24 +317,22 @@ impl TreeSet {
             forwarding_index: 0,
         };
         let mut tree_load = vec![0u64; g.arc_count()];
-        // Scratch, reused per group: invalid flags, kept-subtree
-        // weights, local→global ids.
+        // One tree and per-arc scratch, reused across groups: invalid
+        // flags, kept-subtree weights, fabric arcs, local→global ids.
+        let mut tree = MulticastTree::default();
         let mut invalid: Vec<bool> = Vec::new();
         let mut kept_weight: Vec<u64> = Vec::new();
         let mut fabric_of: Vec<u32> = Vec::new();
         let mut global_id: Vec<u32> = Vec::new();
-        let mut children: Vec<Vec<u32>> = Vec::new();
         for group in groups {
-            let tree = MulticastTree::build(router, group.root, &group.dsts);
+            tree.rebuild(router, group.root, &group.dsts);
             let arcs = tree.arc_count();
             invalid.clear();
             invalid.resize(arcs, false);
             fabric_of.clear();
             fabric_of.resize(arcs, u32::MAX);
             global_id.clear();
-            global_id.resize(arcs, 0);
-            children.clear();
-            children.resize(arcs, Vec::new());
+            global_id.resize(arcs, PRUNED);
             // Pass 1 (forward): an invalid arc — the router proposed a
             // non-fabric hop — prunes its whole subtree at its topmost
             // occurrence, where the subtree's leaves all become
@@ -370,22 +377,29 @@ impl TreeSet {
                 if invalid[arc] || kept_weight[arc] == 0 {
                     continue;
                 }
-                let id = set.fabric_arc.len() as u32;
-                global_id[arc] = id;
+                global_id[arc] = set.fabric_arc.len() as u32;
                 set.fabric_arc.push(fabric_of[arc]);
                 tree_load[fabric_of[arc] as usize] += 1;
                 set.deliveries.push(tree.deliveries_at(arc) as u32);
                 set.weight.push(kept_weight[arc] as u32);
-                match tree.parent_arc(arc) {
-                    Some(parent) => children[parent].push(id),
-                    None => set.root_arcs.push(id),
+                if tree.parent_arc(arc).is_none() {
+                    set.root_arcs.push(global_id[arc]);
                 }
             }
-            // Child CSR rows, in global-id (= tree) order.
+            // Child CSR rows, in global-id (= tree) order: each kept
+            // arc's kept children, read off the tree's own CSR. A kept
+            // arc's parent is kept too (an invalid or weightless
+            // parent leaves its children the same), so every kept
+            // non-root arc lands in exactly one row.
             for arc in 0..arcs {
-                if !invalid[arc] && kept_weight[arc] > 0 {
+                if global_id[arc] != PRUNED {
                     set.child_off.push(set.child_arcs.len() as u32);
-                    set.child_arcs.extend_from_slice(&children[arc]);
+                    set.child_arcs.extend(
+                        tree.child_arcs(arc)
+                            .iter()
+                            .map(|&child| global_id[child as usize])
+                            .filter(|&id| id != PRUNED),
+                    );
                 }
             }
             set.root_off.push(set.root_arcs.len() as u32);
@@ -483,8 +497,9 @@ impl TreeSet {
 /// Cycle-accurate queueing simulator over one fabric digraph.
 ///
 /// Reusable across runs ([`QueueingEngine::run`] carries no state
-/// over), but runs must not overlap: the occupancy counters are a
-/// single shared scoreboard.
+/// over), but runs must not overlap: a run keeps its FIFO lengths in
+/// the engine's one occupancy scoreboard, so starting a run while
+/// another is in progress panics.
 pub struct QueueingEngine {
     g: Arc<Digraph>,
     config: QueueConfig,
@@ -495,7 +510,9 @@ pub struct QueueingEngine {
     /// What a run does with packets stranded by a link death.
     stranded: StrandedPolicy,
     /// One counter per (arc, VC class), arc-major — the occupancy
-    /// scoreboard behind [`LinkOccupancy`].
+    /// scoreboard behind [`LinkOccupancy`]. A run uses these words as
+    /// its channel FIFOs' committed lengths, so there is one
+    /// occupancy array, not a second copy kept in step.
     counts: Arc<[AtomicU32]>,
     /// Per-arc fade penalty fed into [`LinkOccupancy`]'s congestion
     /// view; maintained by the run loop as dynamics events fire.
@@ -509,6 +526,8 @@ pub struct QueueingEngine {
     /// the drain phase's per-node work lists.
     in_offsets: Box<[u32]>,
     in_arcs: Box<[u32]>,
+    /// Held for the length of a run ([`QueueingEngine::claim_run`]).
+    run_slot: Mutex<()>,
 }
 
 impl QueueingEngine {
@@ -567,6 +586,7 @@ impl QueueingEngine {
             dateline,
             in_offsets: in_offsets.into_boxed_slice(),
             in_arcs: in_arcs.into_boxed_slice(),
+            run_slot: Mutex::new(()),
         }
     }
 
@@ -639,6 +659,21 @@ impl QueueingEngine {
 
     pub(super) fn counts(&self) -> &[AtomicU32] {
         &self.counts
+    }
+
+    /// Claim the engine for one run, until the guard drops. Panics if
+    /// another run holds it: the two would share FIFO lengths.
+    pub(super) fn claim_run(&self) -> MutexGuard<'_, ()> {
+        match self.run_slot.try_lock() {
+            Ok(guard) => guard,
+            // A run that panicked leaves nothing the next one reads:
+            // every run zeroes the scoreboard before it starts.
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => panic!(
+                "runs on one QueueingEngine must not overlap: a run keeps its FIFO \
+                 lengths in the engine's occupancy scoreboard"
+            ),
+        }
     }
 
     pub(super) fn dateline_ref(&self) -> &Dateline {
@@ -934,6 +969,12 @@ mod tests {
         assert_eq!(occupancy.queued(0, 1), 1);
         assert_eq!(occupancy.queued(1, 2), 1);
         assert_eq!(occupancy.queued(2, 0), 1);
+        // A new run on the same engine starts from empty FIFOs, not
+        // from the wedged run's lengths.
+        let report = engine.run(&router, &[(0, 1)], 1.0);
+        assert!(!report.deadlocked, "{report:?}");
+        assert_eq!(report.delivered, 1);
+        assert_eq!(occupancy.queued(0, 1), 0);
         // The same scenario under tail-drop cannot wedge.
         let engine = QueueingEngine::new(g, config(1, 1, ContentionPolicy::TailDrop));
         let report = engine.run(&router, &[(0, 2), (1, 0), (2, 1)], 3.0);
@@ -1129,6 +1170,37 @@ mod tests {
             },
         ];
         engine.run_multicast(&router, &groups, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not overlap")]
+    fn overlapping_runs_on_one_engine_panic() {
+        // A router that starts a second run on its own engine from
+        // inside the first run's injection: the two runs would share
+        // FIFO lengths, so the second must refuse to start.
+        struct Reentrant<'a> {
+            engine: &'a QueueingEngine,
+            inner: RoutingTable,
+        }
+        impl Router for Reentrant<'_> {
+            fn node_count(&self) -> u64 {
+                self.inner.node_count()
+            }
+            fn name(&self) -> String {
+                "reentrant".into()
+            }
+            fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
+                self.engine.run(&self.inner, &[(0, 1)], 1.0);
+                self.inner.next_hop(current, dst)
+            }
+        }
+        let g = cycle(4);
+        let engine = QueueingEngine::new(g.clone(), QueueConfig::default());
+        let router = Reentrant {
+            engine: &engine,
+            inner: RoutingTable::new(&g),
+        };
+        engine.run(&router, &[(0, 2)], 1.0);
     }
 
     #[test]

@@ -213,7 +213,7 @@ struct SharedRun<'a> {
     allocator: &'a Mutex<ArenaAllocator>,
     /// Pending (decoded, not yet injected) workload entries.
     entries: &'a EntryArena,
-    queues: &'a ChannelQueues,
+    queues: &'a ChannelQueues<'a>,
     /// Head/tail of each source's pending-entry FIFO. Written by the
     /// decode step (main) and the source's inject owner — phases that
     /// never overlap.
@@ -272,11 +272,6 @@ struct SharedRun<'a> {
     waiter_head: &'a [AtomicU32],
     waiter_link: &'a [AtomicU32],
     delivered_per_link: &'a [AtomicU64],
-    /// The engine's occupancy scoreboard (what adaptive routers read);
-    /// updated only at phase boundaries — and, during sharded
-    /// injection, by each channel's single owner while no one reads
-    /// it — hence cycle-stable.
-    counts: &'a [AtomicU32],
     /// Per-arc drain capacity under a dynamics timeline (`None` on a
     /// static fabric: every arc drains `wavelengths`). Written only on
     /// the sequential slot when events fire; the phase barrier
@@ -581,6 +576,7 @@ pub(super) fn execute(
             "{what} {max} is not a fabric node (fabric has {n})"
         );
     }
+    let _run = engine.claim_run();
     let trees = groups.map(|groups| {
         assert!(hot_dst.is_none(), "multicast runs are unclassified");
         TreeSet::build(g, router, groups)
@@ -601,12 +597,7 @@ pub(super) fn execute(
     // node for inject, by downstream node for drain, the main thread
     // for decode/apply), so no intra-phase read races a write it could
     // order against. The individual sites below carry notes only where
-    // the argument is not this standard one. The scoreboard reset here
-    // happens before any thread is spawned.
-    let counts = engine.counts();
-    for count in counts.iter() {
-        count.store(0, Relaxed);
-    }
+    // the argument is not this standard one.
 
     // The arena bound: a unicast run never holds more copies than
     // packets; a multicast run never holds more copies than tree arcs
@@ -621,7 +612,9 @@ pub(super) fn execute(
     let arena = PacketArena::with_capacity(capacity);
     let allocator = Mutex::new(ArenaAllocator::new(capacity));
     let entries = EntryArena::with_capacity(items);
-    let queues = ChannelQueues::new(channels);
+    // The channels' committed lengths are the engine's occupancy
+    // scoreboard, so adaptive routers read exactly what room checks do.
+    let queues = ChannelQueues::new(engine.counts());
     let node_ready: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
     let active = DenseBitset::new(n as usize);
     let zeros = |len: usize| -> Vec<AtomicU32> { (0..len).map(|_| AtomicU32::new(0)).collect() };
@@ -719,7 +712,6 @@ pub(super) fn execute(
         waiter_head: &waiter_head,
         waiter_link: &waiter_link,
         delivered_per_link: &delivered_per_link,
-        counts,
         capacity: capacity.as_deref(),
         fade_penalty,
         watches: &watches,
@@ -1337,23 +1329,23 @@ fn claim_id(shared: &SharedRun, ws: &mut WorkerScratch) -> u32 {
     ws.ids.pop().expect("arena overflow: id supply exhausted")
 }
 
-/// Commit a push: thread the FIFO, bump committed occupancy, publish
-/// to the congestion scoreboard, track the peak, and — when the
-/// channel just became nonempty — activate the downstream node's
-/// worklist bit. (A parked channel is never empty, so `len == 0`
-/// implies unparked.) Every channel has exactly one pushing owner per
-/// phase: its source's inject worker, or the main thread.
+/// Commit a push: thread the FIFO, bump committed occupancy (which is
+/// the congestion scoreboard adaptive routers read), track the peak,
+/// and — when the channel just became nonempty — activate the
+/// downstream node's worklist bit. (A parked channel is never empty,
+/// so `len == 0` implies unparked.) Every channel has exactly one
+/// pushing owner per phase: its source's inject worker, or the main
+/// thread.
 fn push_packet(shared: &SharedRun, chan: usize, id: u32, cycle: u64) {
     // ORDERING: Relaxed — the caller owns `chan` for the phase (its
     // source's inject worker, or the main thread in apply), so the
-    // peak load+store and the scoreboard publish are single-writer
-    // plain updates; adaptive routers read `counts` only in phases
-    // where injection is sequential, behind a barrier.
+    // length bump and the peak load+store are single-writer plain
+    // updates; adaptive routers read the lengths only in phases where
+    // injection is sequential, behind a barrier.
     let len = shared.queues.push(chan, id, shared.arena);
     if len > shared.peak[chan].load(Relaxed) {
         shared.peak[chan].store(len, Relaxed);
     }
-    shared.counts[chan].store(len, Relaxed);
     if len == 1 {
         activate(shared, chan);
     }
@@ -1996,7 +1988,6 @@ fn strand_channels(shared: &SharedRun, main: &mut MainState, arc: usize) -> bool
         shared.queues.head[chan].store(NONE, Relaxed);
         shared.queues.tail[chan].store(NONE, Relaxed);
         shared.queues.len[chan].store(0, Relaxed);
-        shared.counts[chan].store(0, Relaxed);
     }
     stranded_any
 }
@@ -2170,7 +2161,6 @@ fn apply(
             let chan = chan as usize;
             let len = shared.queues.len[chan].load(Relaxed) - count;
             shared.queues.len[chan].store(len, Relaxed);
-            shared.counts[chan].store(len, Relaxed);
             // A committed pop is the one event that can give this
             // channel's upstream blockers room: wake every channel —
             // and every injection source — parked on it. (A waiter
