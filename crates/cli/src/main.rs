@@ -450,12 +450,15 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
     // B(2,20) — the fabric rides the *interval-compressed* de Bruijn
     // table (runs derived arithmetically, no BFS) through the paper's
     // isomorphism witness: the H fabric is routed in de Bruijn rank
-    // space, two array loads per query. Past the compressed cap (or
-    // under --arithmetic anywhere), the tableless de Bruijn shift
-    // router takes over — no per-node storage at all, any d^D.
+    // space, the witness evaluated both ways from a few byte tables
+    // (one table lookup per direction when it does not factor). Past
+    // the compressed cap (or under --arithmetic anywhere), the
+    // tableless de Bruijn shift router takes over — no per-node
+    // routing storage at all, any d^D.
     if options.dynamics.is_some() {
         // Link dynamics route through the repairable next-hop table,
-        // built in de Bruijn rank space — where shift-routing rows
+        // built in de Bruijn rank space — where the shift rows come
+        // from digit arithmetic instead of one BFS per source, and
         // compress into a handful of CSR runs — and carried to the H
         // numbering through the paper's isomorphism witness. The
         // engine feeds each death/revival to the online repair (the

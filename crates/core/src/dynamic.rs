@@ -30,6 +30,7 @@
 //! path gives.
 
 use crate::router::{rank_candidates, RankedCandidates, Router};
+use crate::WitnessMap;
 use otis_digraph::compressed::CompressedNextHopTable;
 use otis_digraph::repair::{RepairStats, RepairableNextHopTable};
 use otis_digraph::{Digraph, INFINITY};
@@ -110,9 +111,9 @@ pub struct RouteSnapshot {
     relabel: Option<WitnessPair>,
 }
 
-/// An isomorphism witness as a `(to_inner, from_inner)` pair of shared
-/// permutation arrays.
-type WitnessPair = (Arc<[u32]>, Arc<[u32]>);
+/// An isomorphism witness as a `(to_inner, from_inner)` pair of maps,
+/// sharing their tables with the relabeled router that published it.
+type WitnessPair = (WitnessMap, WitnessMap);
 
 impl RouteSnapshot {
     /// The publication epoch this snapshot was taken at.
@@ -129,11 +130,8 @@ impl RouteSnapshot {
         match &self.relabel {
             None => self.table.next_hop64(current, dst),
             Some((to_inner, from_inner)) => {
-                let c = *to_inner.get(current as usize)?;
-                let d = *to_inner.get(dst as usize)?;
-                self.table
-                    .next_hop64(c as u64, d as u64)
-                    .map(|v| from_inner[v as usize] as u64)
+                let (c, d) = (to_inner.get(current)?, to_inner.get(dst)?);
+                self.table.next_hop64(c, d).and_then(|v| from_inner.get(v))
             }
         }
     }
@@ -143,8 +141,8 @@ impl RouteSnapshot {
     /// composition is not supported — nest routers, not snapshots).
     pub(crate) fn relabeled(
         &self,
-        to_inner: Arc<[u32]>,
-        from_inner: Arc<[u32]>,
+        to_inner: WitnessMap,
+        from_inner: WitnessMap,
     ) -> Option<RouteSnapshot> {
         if self.relabel.is_some() {
             return None;

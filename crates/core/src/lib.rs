@@ -61,6 +61,7 @@ pub mod sequences;
 pub use dynamic::{DynamicRoutingTable, RouteRepair, RouteSnapshot};
 pub use families::{AlphabetDigraph, BSigma, DeBruijn, ImaseItoh, Kautz, PositionalSigma, Rrk};
 pub use family::DigraphFamily;
+pub use iso::WitnessMap;
 pub use router::{
     AdaptiveRouter, BfsRouter, Candidates, CongestionMap, Dateline, DeBruijnRouter, KautzRouter,
     NoCongestion, RankedCandidates, RelabeledRouter, Router, RoutingTable,

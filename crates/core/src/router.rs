@@ -30,9 +30,9 @@
 //!   dead optical hardware — and exposes candidates over the
 //!   *surviving* digraph, so adaptivity composes with dead hardware.
 
-use crate::{DeBruijn, DigraphFamily, Kautz};
+use crate::{DeBruijn, DigraphFamily, Kautz, WitnessMap};
 use otis_digraph::bfs::{NextHopTable, TableCapExceeded};
-use otis_digraph::compressed::{CompressedNextHopTable, NextHopRun};
+use otis_digraph::compressed::CompressedNextHopTable;
 use otis_digraph::{Digraph, INFINITY};
 use otis_util::SmallVec;
 use otis_words::Word;
@@ -374,10 +374,11 @@ impl TableBacking {
 /// [`CompressedNextHopTable`] automatically: same canonical answers,
 /// `O(total runs)` memory instead of `O(n²)`, `O(log runs)` per
 /// query. Works on any materialized fabric — de Bruijn, Kautz,
-/// `II`/`RRK` at non-power sizes, faulted networks; for de Bruijn
-/// fabrics at scale prefer [`RoutingTable::from_debruijn`], which
-/// derives the compressed runs arithmetically instead of paying one
-/// BFS per source.
+/// `II`/`RRK` at non-power sizes, faulted networks. A de Bruijn
+/// fabric in rank numbering (a
+/// [`otis_digraph::compressed::ShiftDigraph`]) gets its compressed
+/// runs by digit arithmetic instead of one BFS per source;
+/// [`RoutingTable::from_debruijn`] takes that path at every size.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     backing: TableBacking,
@@ -450,7 +451,10 @@ impl RoutingTable {
         Ok(table)
     }
 
-    /// Interval-compressed table for a de Bruijn fabric, with the runs
+    /// Interval-compressed table for a de Bruijn fabric, at every size
+    /// (the family path switches to dense below the dense cap). Its
+    /// rank-numbered digraph is a
+    /// [`otis_digraph::compressed::ShiftDigraph`], so the runs are
     /// derived *arithmetically*: from source `u`, destination space
     /// splits into the `O(d · D)` prefix intervals of `u`'s suffix
     /// matches, each further cut at multiples of `d^{k-1}` where the
@@ -468,22 +472,11 @@ impl RoutingTable {
                 cap: CompressedNextHopTable::MAX_NODES,
             });
         }
-        let router = DeBruijnRouter::new(*b);
-        const CHUNK: usize = 64;
-        let rows = otis_util::par_map((n as usize).div_ceil(CHUNK), 1, |chunk_index| {
-            let start = chunk_index * CHUNK;
-            let end = ((chunk_index + 1) * CHUNK).min(n as usize);
-            (start..end)
-                .map(|u| debruijn_runs(&router, u as u64))
-                .collect::<Vec<_>>()
-        });
+        let g = b.digraph();
         Ok(RoutingTable {
-            backing: TableBacking::Compressed(CompressedNextHopTable::from_rows(
-                n as usize,
-                rows.into_iter().flatten(),
-            )),
+            backing: TableBacking::Compressed(CompressedNextHopTable::try_build(&g)?),
             label: b.name(),
-            g: b.digraph(),
+            g,
         })
     }
 
@@ -513,69 +506,6 @@ impl RoutingTable {
     pub fn digraph(&self) -> &Digraph {
         &self.g
     }
-}
-
-/// The interval runs of one de Bruijn source, by digit arithmetic:
-/// segment destination space at every suffix-match interval boundary
-/// (distance changes there) and at every multiple of `d^{k-1}` inside
-/// a distance-`k` segment (the appended digit changes there).
-fn debruijn_runs(router: &DeBruijnRouter, u: u64) -> Vec<NextHopRun> {
-    let b = router.family();
-    let d = b.d() as u64;
-    let dim = b.diameter() as usize;
-    let n = b.node_count();
-    let powers: Vec<u64> = (0..=dim)
-        .map(|i| if i == dim { n } else { d.pow(i as u32) })
-        .collect();
-    // Match intervals: destinations whose length-L prefix equals u's
-    // length-L suffix, one interval per L (I_0 is everything, I_D is
-    // {u} itself).
-    let interval = |level: usize| {
-        let start = (u % powers[level]) * powers[dim - level];
-        start..start + powers[dim - level]
-    };
-    let mut cuts: Vec<u64> = vec![0, n];
-    for level in 0..=dim {
-        let i = interval(level);
-        cuts.push(i.start);
-        cuts.push(i.end);
-    }
-    cuts.sort_unstable();
-    cuts.dedup();
-    let shifted = (u % powers[dim - 1]) * d;
-    let mut runs = Vec::new();
-    for pair in cuts.windows(2) {
-        let (start, end) = (pair[0], pair[1]);
-        // No segment straddles an interval boundary, so membership is
-        // decided by the start point alone.
-        let best_match = (0..=dim)
-            .rev()
-            .find(|&level| interval(level).contains(&start))
-            .expect("level 0 matches everything");
-        let k = dim - best_match;
-        if k == 0 {
-            // The segment is [u, u + 1): already home, no hop.
-            runs.push(NextHopRun {
-                start: start as u32,
-                hop: otis_digraph::INFINITY,
-                dist: 0,
-            });
-            continue;
-        }
-        // Within a distance-k segment the hop appends destination
-        // digit k-1, constant between multiples of d^{k-1}.
-        let mut t = start;
-        while t < end {
-            let digit = (t / powers[k - 1]) % d;
-            runs.push(NextHopRun {
-                start: t as u32,
-                hop: (shifted + digit) as u32,
-                dist: k as u32,
-            });
-            t = (t / powers[k - 1] + 1) * powers[k - 1];
-        }
-    }
-    runs
 }
 
 impl Router for RoutingTable {
@@ -629,16 +559,20 @@ impl Router for RoutingTable {
 /// machinery at full scale: the arithmetic routers and the
 /// arithmetic-compressed [`RoutingTable::from_debruijn`] both speak
 /// de Bruijn ranks, and the witness is exactly the paper's
-/// isomorphism. Every query costs two array loads on top of the inner
-/// router.
+/// isomorphism. Both directions of the witness are held as
+/// [`WitnessMap`]s: the OTIS witnesses at `d = 2` permute and
+/// complement binary digits, so each direction evaluates from a few
+/// L1-resident byte tables (three lookups at `2^20` nodes) instead of
+/// a random read into an `n`-entry array. A witness that does not
+/// factor keeps its array, one lookup per direction.
 #[derive(Debug, Clone)]
 pub struct RelabeledRouter<R: Router> {
     inner: R,
-    /// `to_inner[outer]` = inner node id. `Arc` so published route
-    /// snapshots can share the witness without copying it per epoch.
-    to_inner: std::sync::Arc<[u32]>,
-    /// `from_inner[inner]` = outer node id.
-    from_inner: std::sync::Arc<[u32]>,
+    /// Outer node → inner node. Published route snapshots share it
+    /// without copying its tables per epoch.
+    to_inner: WitnessMap,
+    /// Inner node → outer node.
+    from_inner: WitnessMap,
 }
 
 impl<R: Router> RelabeledRouter<R> {
@@ -667,19 +601,14 @@ impl<R: Router> RelabeledRouter<R> {
         }
         RelabeledRouter {
             inner,
-            to_inner: to_inner.into(),
-            from_inner: from_inner.into(),
+            to_inner: WitnessMap::new(&to_inner),
+            from_inner: WitnessMap::new(&from_inner),
         }
     }
 
     /// The wrapped router.
     pub fn inner(&self) -> &R {
         &self.inner
-    }
-
-    #[inline]
-    fn map_in(&self, outer: u64) -> Option<u64> {
-        self.to_inner.get(outer as usize).map(|&inner| inner as u64)
     }
 }
 
@@ -697,25 +626,25 @@ impl<R: Router> Router for RelabeledRouter<R> {
     }
 
     fn next_hop_on_vc(&self, current: u64, dst: u64, vc: u8) -> Option<u64> {
-        let (c, d) = (self.map_in(current)?, self.map_in(dst)?);
+        let (c, d) = (self.to_inner.get(current)?, self.to_inner.get(dst)?);
         self.inner
             .next_hop_on_vc(c, d, vc)
-            .map(|v| self.from_inner[v as usize] as u64)
+            .and_then(|v| self.from_inner.get(v))
     }
 
     fn ranked_candidates(&self, current: u64, dst: u64) -> RankedCandidates {
-        let (Some(c), Some(d)) = (self.map_in(current), self.map_in(dst)) else {
+        let (Some(c), Some(d)) = (self.to_inner.get(current), self.to_inner.get(dst)) else {
             return RankedCandidates::new();
         };
         self.inner
             .ranked_candidates(c, d)
             .iter()
-            .map(|&(dist, v)| (dist, self.from_inner[v as usize] as u64))
+            .filter_map(|&(dist, v)| Some((dist, self.from_inner.get(v)?)))
             .collect()
     }
 
     fn distance(&self, src: u64, dst: u64) -> Option<u64> {
-        let (c, d) = (self.map_in(src)?, self.map_in(dst)?);
+        let (c, d) = (self.to_inner.get(src)?, self.to_inner.get(dst)?);
         self.inner.distance(c, d)
     }
 
@@ -747,7 +676,7 @@ impl<R: Router> crate::dynamic::RouteRepair for RelabeledRouter<R> {
         let Some(repair) = self.inner.as_repair() else {
             return otis_digraph::repair::RepairStats::default();
         };
-        let (Some(f), Some(t)) = (self.map_in(from), self.map_in(to)) else {
+        let (Some(f), Some(t)) = (self.to_inner.get(from), self.to_inner.get(to)) else {
             return otis_digraph::repair::RepairStats::default();
         };
         repair.apply_link_event_deferred(f, t, alive)
@@ -772,10 +701,10 @@ impl<R: Router> crate::dynamic::RouteRepair for RelabeledRouter<R> {
     }
 
     fn published_snapshot(&self) -> Option<crate::dynamic::RouteSnapshot> {
-        self.inner.as_repair()?.published_snapshot()?.relabeled(
-            std::sync::Arc::clone(&self.to_inner),
-            std::sync::Arc::clone(&self.from_inner),
-        )
+        self.inner
+            .as_repair()?
+            .published_snapshot()?
+            .relabeled(self.to_inner.clone(), self.from_inner.clone())
     }
 }
 
@@ -1535,6 +1464,74 @@ mod tests {
         // Revive restores the original answers.
         repair.apply_link_event(outer_from, outer_to, true);
         assert_eq!(relabeled.next_hop(outer_from, outer_to), Some(outer_to));
+    }
+
+    #[test]
+    fn relabeled_router_with_a_witness_that_does_not_factor() {
+        // A pseudo-random relabeling of B(2,9): 512 nodes, past one
+        // byte, so the witness keeps its table. The router and its
+        // published snapshot must answer every pair exactly as
+        // explicit array lookups around the inner table do, before
+        // and after a repair.
+        use rand::seq::SliceRandom as _;
+        use rand::SeedableRng as _;
+        let b = DeBruijn::new(2, 9);
+        let n = b.node_count() as u32;
+        let mut witness: Vec<u32> = (0..n).collect();
+        witness.shuffle(&mut rand::rngs::StdRng::seed_from_u64(0x0715));
+        let inverse = crate::iso::invert_witness(&witness);
+        assert_eq!(WitnessMap::new(&witness).chunk_count(), 1);
+        assert_eq!(WitnessMap::new(&inverse).chunk_count(), 1);
+        let inner = crate::DynamicRoutingTable::new(&b.digraph());
+        let relabeled = RelabeledRouter::new(
+            crate::DynamicRoutingTable::new(&b.digraph()),
+            witness.clone(),
+        );
+        let repair = relabeled.as_repair().expect("repairable inner");
+        let check = |stage: &str| {
+            let snap = repair.published_snapshot().expect("published");
+            for u in 0..n {
+                for dst in 0..n {
+                    let expected = inner
+                        .next_hop(witness[u as usize].into(), witness[dst as usize].into())
+                        .map(|v| u64::from(inverse[v as usize]));
+                    let (u, dst) = (u64::from(u), u64::from(dst));
+                    assert_eq!(relabeled.next_hop(u, dst), expected, "{stage} {u}->{dst}");
+                    assert_eq!(
+                        snap.next_hop(u, dst),
+                        expected,
+                        "{stage} snapshot {u}->{dst}"
+                    );
+                }
+            }
+            assert_eq!(relabeled.next_hop(u64::from(n), 0), None);
+            assert_eq!(snap.next_hop(0, u64::from(n)), None);
+        };
+        check("fresh");
+        // Kill the inner arc 1 → 2 on both sides, in outer numbering
+        // through the relabeled router.
+        use crate::dynamic::RouteRepair as _;
+        assert!(inner.apply_link_event(1, 2, false).rows_patched > 0);
+        let stats = repair.apply_link_event(u64::from(inverse[1]), u64::from(inverse[2]), false);
+        assert!(stats.rows_patched > 0);
+        check("repaired");
+    }
+
+    #[test]
+    fn kautz_takes_the_bfs_path_and_matches_the_dense_table() {
+        use otis_digraph::compressed::ShiftDigraph;
+        for (d, dim) in [(2u32, 3u32), (3, 2)] {
+            let g = Kautz::new(d, dim).digraph();
+            assert_eq!(ShiftDigraph::detect(&g), None, "K({d},{dim})");
+            let compressed = CompressedNextHopTable::build(&g);
+            let dense = NextHopTable::build(&g);
+            for u in 0..g.node_count() as u32 {
+                for dst in 0..g.node_count() as u32 {
+                    assert_eq!(compressed.next_hop(u, dst), dense.next_hop(u, dst));
+                    assert_eq!(compressed.distance(u, dst), dense.distance(u, dst));
+                }
+            }
+        }
     }
 
     /// The candidates contract, checked for one router against its

@@ -24,10 +24,11 @@
 //! shortest paths — the same canonical choice the dense table makes
 //! (its "smallest descending out-neighbor"), so the two tables answer
 //! every query identically and callers can switch on size alone.
-//! Families with arithmetic structure can skip the BFS entirely and
-//! hand analytic runs to [`CompressedNextHopTable::from_rows`] (the
-//! de Bruijn builder in `otis-core` does; 65536 sources compress in
-//! milliseconds).
+//! A [`ShiftDigraph`] — de Bruijn `B(d, D)` in rank numbering,
+//! recognized from its arcs — skips the BFS entirely: its rows follow
+//! from digit arithmetic, so 65536 sources compress in milliseconds
+//! (the repairable table in [`crate::repair`] starts from the same
+//! rows when no arc is down).
 
 use crate::{Digraph, INFINITY};
 
@@ -76,8 +77,9 @@ impl CompressedNextHopTable {
     pub const MAX_NODES: usize = 1 << 20;
 
     /// Build by one min-first-hop BFS per source (sharded over
-    /// threads), or report [`crate::bfs::TableCapExceeded`] beyond
-    /// [`Self::MAX_NODES`].
+    /// threads) — or by digit arithmetic when `g` is a
+    /// [`ShiftDigraph`] — or report [`crate::bfs::TableCapExceeded`]
+    /// beyond [`Self::MAX_NODES`].
     pub fn try_build(g: &Digraph) -> Result<Self, crate::bfs::TableCapExceeded> {
         let n = g.node_count();
         if n > Self::MAX_NODES {
@@ -86,18 +88,7 @@ impl CompressedNextHopTable {
                 cap: Self::MAX_NODES,
             });
         }
-        // Shard sources; each worker reuses its BFS scratch across its
-        // whole shard, like the dense build and the eccentricity sweep.
-        const CHUNK: usize = 8;
-        let chunks = otis_util::par_map(n.div_ceil(CHUNK), 1, |chunk_index| {
-            let start = chunk_index * CHUNK;
-            let end = ((chunk_index + 1) * CHUNK).min(n);
-            let mut scratch = BfsScratch::new(n);
-            (start..end)
-                .map(|u| source_runs(g, u as u32, &mut scratch))
-                .collect::<Vec<_>>()
-        });
-        Ok(Self::from_rows(n, chunks.into_iter().flatten()))
+        Ok(Self::from_rows(n, source_rows(g, None)))
     }
 
     /// As [`Self::try_build`], panicking (with the cap message) on
@@ -272,17 +263,152 @@ impl CompressedNextHopTable {
     }
 }
 
-/// Reused per-worker buffers for the per-source BFS. Shared with the
-/// incremental-repair module, which re-runs the same BFS under an
-/// arc-liveness mask.
-pub(crate) struct BfsScratch {
+/// A *shift digraph*: `n = d^D` nodes (`d ≥ 2`, `D ≥ 1`), and arc `k`
+/// of every node `u` targets `(d·u mod n) + k` — de Bruijn `B(d, D)`
+/// in rank numbering, arcs in letter order. Its min-first-hop rows
+/// follow from digit arithmetic: from `u`, destination space splits
+/// into the `O(d · D)` prefix intervals of `u`'s suffix matches, each
+/// further cut where the appended digit flips. The descending
+/// out-neighbor of a shift step is unique, so these rows are exactly
+/// the ones the per-source BFS computes, only without the BFS.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShiftDigraph {
+    d: u64,
+    dim: usize,
+    /// `powers[i] = d^i`, `i ∈ 0..=D`.
+    powers: Box<[u64]>,
+}
+
+impl ShiftDigraph {
+    /// The shift structure of `g`, if it has one, read off its arcs in
+    /// `O(arcs)`; `None` for every other digraph (relabelings of
+    /// `B(d, D)` included).
+    pub fn detect(g: &Digraph) -> Option<Self> {
+        let n = g.node_count() as u64;
+        if n < 2 {
+            return None;
+        }
+        let d = g.out_degree(0) as u64;
+        if d < 2 {
+            return None;
+        }
+        let mut powers = vec![1u64];
+        while powers[powers.len() - 1] < n {
+            powers.push(powers[powers.len() - 1].checked_mul(d)?);
+        }
+        if powers[powers.len() - 1] != n {
+            return None;
+        }
+        let shifts = (0..n as u32).all(|u| {
+            let targets = g.out_neighbors(u);
+            let shifted = d * u64::from(u) % n;
+            targets.len() as u64 == d
+                && (0..)
+                    .zip(targets)
+                    .all(|(k, &v)| u64::from(v) == shifted + k)
+        });
+        shifts.then(|| ShiftDigraph {
+            d,
+            dim: powers.len() - 1,
+            powers: powers.into(),
+        })
+    }
+
+    /// The canonical run row of source `u`: segment destination space
+    /// at every suffix-match interval boundary (distance changes
+    /// there) and at every multiple of `d^{k-1}` inside a distance-`k`
+    /// segment (the appended digit changes there), merging adjacent
+    /// runs that agree.
+    pub(crate) fn runs(&self, u: u32) -> Vec<NextHopRun> {
+        let (d, dim, powers) = (self.d, self.dim, &self.powers);
+        let u = u64::from(u);
+        // Match intervals: destinations whose length-L prefix equals
+        // u's length-L suffix, `lo[L] .. lo[L] + d^{D-L}`, one per L
+        // (I_0 is everything, I_D is {u} itself).
+        let lo: Vec<u64> = (0..=dim)
+            .map(|level| (u % powers[level]) * powers[dim - level])
+            .collect();
+        let mut cuts: Vec<u64> = (0..=dim)
+            .flat_map(|level| [lo[level], lo[level] + powers[dim - level]])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let shifted = (u % powers[dim - 1]) * d;
+        let mut runs: Vec<NextHopRun> = Vec::new();
+        let mut push = |start: u64, hop: u32, dist: u32| match runs.last() {
+            Some(last) if last.hop == hop && last.dist == dist => {}
+            _ => runs.push(NextHopRun {
+                start: start as u32,
+                hop,
+                dist,
+            }),
+        };
+        for pair in cuts.windows(2) {
+            let (start, end) = (pair[0], pair[1]);
+            // No segment straddles an interval boundary, so membership
+            // is decided by the start point alone.
+            let best_match = (0..=dim)
+                .rev()
+                .find(|&level| start.wrapping_sub(lo[level]) < powers[dim - level])
+                .expect("level 0 matches everything");
+            let k = dim - best_match;
+            if k == 0 {
+                // The segment is [u, u + 1): already home, no hop.
+                push(start, INFINITY, 0);
+                continue;
+            }
+            // Within a distance-k segment the hop appends destination
+            // digit k-1, constant between multiples of d^{k-1}.
+            let step = powers[k - 1];
+            let mut block = start / step;
+            let mut digit = block % d;
+            let mut t = start;
+            while t < end {
+                push(t, (shifted + digit) as u32, k as u32);
+                block += 1;
+                digit = if digit + 1 == d { 0 } else { digit + 1 };
+                t = block * step;
+            }
+        }
+        runs
+    }
+}
+
+/// One canonical run row per source of `g`, skipping the arcs `alive`
+/// marks dead: digit arithmetic for an unmasked [`ShiftDigraph`], one
+/// min-first-hop BFS per source otherwise. Sources are sharded over
+/// threads; each BFS worker reuses its scratch across its shard, like
+/// the dense build and the eccentricity sweep.
+pub(crate) fn source_rows(g: &Digraph, alive: Option<&[bool]>) -> Vec<Vec<NextHopRun>> {
+    let n = g.node_count();
+    let shift = alive.is_none().then(|| ShiftDigraph::detect(g)).flatten();
+    const CHUNK: usize = 8;
+    otis_util::par_map(n.div_ceil(CHUNK), 1, |chunk_index| {
+        let sources = chunk_index * CHUNK..((chunk_index + 1) * CHUNK).min(n);
+        match &shift {
+            Some(shift) => sources.map(|u| shift.runs(u as u32)).collect::<Vec<_>>(),
+            None => {
+                let mut scratch = BfsScratch::new(n);
+                sources
+                    .map(|u| source_runs(g, u as u32, alive, &mut scratch))
+                    .collect()
+            }
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Reused per-worker buffers for the per-source BFS.
+struct BfsScratch {
     dist: Vec<u32>,
     first: Vec<u32>,
     queue: std::collections::VecDeque<u32>,
 }
 
 impl BfsScratch {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         BfsScratch {
             dist: vec![INFINITY; n],
             first: vec![INFINITY; n],
@@ -299,18 +425,14 @@ impl BfsScratch {
 /// The min survives relaxation because a node's first-hop label is
 /// final before the node is popped: all its shortest-path parents sit
 /// one BFS layer earlier.
-fn source_runs(g: &Digraph, u: u32, scratch: &mut BfsScratch) -> Vec<NextHopRun> {
-    source_runs_masked(g, u, None, scratch)
-}
-
-/// As [`source_runs`], but arcs whose index maps to `false` in `alive`
-/// are skipped — the BFS of the survivor subgraph, computed without
-/// materializing it. With `alive = None` (or an all-`true` mask) this
-/// is exactly [`source_runs`]: the traversal visits arcs in the same
-/// CSR order, so the produced runs are identical, which is what lets
-/// [`crate::repair`] pin its patched rows against a from-scratch build
-/// of the masked digraph byte-for-byte.
-pub(crate) fn source_runs_masked(
+///
+/// Arcs whose index maps to `false` in `alive` are skipped — the BFS
+/// of the survivor subgraph, computed without materializing it. With
+/// `alive = None` (or an all-`true` mask) the traversal visits arcs in
+/// the same CSR order, so the produced runs are identical, which is
+/// what lets [`crate::repair`] pin its patched rows against a
+/// from-scratch build of the masked digraph byte-for-byte.
+fn source_runs(
     g: &Digraph,
     u: u32,
     alive: Option<&[bool]>,
@@ -396,6 +518,105 @@ mod tests {
     #[test]
     fn matches_dense_on_cycle() {
         assert_matches_dense(&cycle(11));
+    }
+
+    /// `B(d, D)` in rank numbering: arc `k` of `u` targets
+    /// `(d·u mod n) + k`.
+    fn shift(d: u32, dim: u32) -> Digraph {
+        let n = d.pow(dim);
+        Digraph::from_fn(n as usize, |u| (0..d).map(move |k| (d * u) % n + k))
+    }
+
+    /// The per-source BFS rows of `g`, bypassing shift detection.
+    fn bfs_rows(g: &Digraph) -> Vec<Vec<NextHopRun>> {
+        let mut scratch = BfsScratch::new(g.node_count());
+        (0..g.node_count() as u32)
+            .map(|u| source_runs(g, u, None, &mut scratch))
+            .collect()
+    }
+
+    #[test]
+    fn shift_rows_are_byte_identical_to_bfs_rows() {
+        for (d, dim) in [
+            (2u32, 1u32),
+            (2, 2),
+            (2, 5),
+            (2, 8),
+            (3, 1),
+            (3, 4),
+            (4, 3),
+            (5, 2),
+        ] {
+            let g = shift(d, dim);
+            let detected = ShiftDigraph::detect(&g).expect("B(d,D) is a shift digraph");
+            let bfs = bfs_rows(&g);
+            for (u, row) in bfs.iter().enumerate() {
+                assert_eq!(&detected.runs(u as u32), row, "B({d},{dim}) source {u}");
+            }
+            let n = g.node_count();
+            let reference = CompressedNextHopTable::from_rows(n, bfs);
+            assert_eq!(CompressedNextHopTable::build(&g), reference, "B({d},{dim})");
+            assert_eq!(
+                crate::repair::RepairableNextHopTable::new(&g).snapshot(),
+                reference,
+                "B({d},{dim}) repairable"
+            );
+        }
+    }
+
+    #[test]
+    fn near_shift_digraphs_take_the_bfs_path() {
+        let g = shift(2, 5);
+        let n = g.node_count() as u32;
+        let arcs = |u: u32| -> Vec<u32> { g.out_neighbors(u).to_vec() };
+        // Two arcs swapped between nodes 9 and 10: still 2-regular in
+        // and out, but 9 → 20 and 10 → 18 do not shift. (Targets are
+        // sorted per node, so the letter order itself cannot differ.)
+        let swapped = Digraph::from_fn(n as usize, |u| {
+            let mut targets = arcs(u);
+            match u {
+                9 => targets[0] = arcs(10)[0],
+                10 => targets[0] = arcs(9)[0],
+                _ => {}
+            }
+            targets
+        });
+        // One arc missing.
+        let missing = Digraph::from_fn(n as usize, |u| {
+            let mut targets = arcs(u);
+            if u == 9 {
+                targets.pop();
+            }
+            targets
+        });
+        // An isomorphic renumbering: B(2,5) relabeled by reversing the
+        // five bits of every rank.
+        let reverse = |u: u32| u.reverse_bits() >> (32 - 5);
+        let reversed = Digraph::from_fn(n as usize, |u| {
+            arcs(reverse(u))
+                .into_iter()
+                .map(reverse)
+                .collect::<Vec<_>>()
+        });
+        for (name, variant) in [
+            ("swapped", &swapped),
+            ("missing", &missing),
+            ("reversed", &reversed),
+        ] {
+            assert_eq!(ShiftDigraph::detect(variant), None, "{name}");
+            let reference = CompressedNextHopTable::from_rows(n as usize, bfs_rows(variant));
+            assert_eq!(CompressedNextHopTable::build(variant), reference, "{name}");
+            assert_matches_dense(variant);
+        }
+        // Degenerate sizes and degrees never detect.
+        assert_eq!(ShiftDigraph::detect(&Digraph::empty(0)), None);
+        assert_eq!(ShiftDigraph::detect(&Digraph::from_fn(1, |_| [0])), None);
+        assert_eq!(ShiftDigraph::detect(&cycle(8)), None);
+        assert_eq!(
+            ShiftDigraph::detect(&Digraph::from_fn(6, |u| [(2 * u) % 6, (2 * u) % 6 + 1])),
+            None,
+            "6 is not a power of 2"
+        );
     }
 
     #[test]
@@ -494,7 +715,9 @@ mod tests {
         let n = 97u32;
         let g = Digraph::from_fn(n as usize, |u| vec![(u + 1) % n, (u * 5 + 2) % n]);
         let mut scratch = BfsScratch::new(n as usize);
-        let rows: Vec<Vec<NextHopRun>> = (0..n).map(|u| source_runs(&g, u, &mut scratch)).collect();
+        let rows: Vec<Vec<NextHopRun>> = (0..n)
+            .map(|u| source_runs(&g, u, None, &mut scratch))
+            .collect();
         let validated = CompressedNextHopTable::from_rows(n as usize, rows.iter().cloned());
         let fast =
             CompressedNextHopTable::from_canonical_rows(n as usize, rows.iter().map(Vec::as_slice));

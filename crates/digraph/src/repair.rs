@@ -46,7 +46,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::compressed::{source_runs_masked, BfsScratch, CompressedNextHopTable, NextHopRun};
+use crate::compressed::{source_rows, CompressedNextHopTable, NextHopRun};
 use crate::{Digraph, INFINITY};
 
 /// What one repair event cost, in units of work the full rebuild would
@@ -200,22 +200,10 @@ impl RepairableNextHopTable {
         for &arc in dead {
             alive[arc] = false;
         }
-        // Rows of the masked graph, sharded like the compressed build.
-        const CHUNK: usize = 8;
-        let rows: Vec<Vec<NextHopRun>> = {
-            let alive = &alive;
-            otis_util::par_map(n.div_ceil(CHUNK), 1, |chunk_index| {
-                let start = chunk_index * CHUNK;
-                let end = ((chunk_index + 1) * CHUNK).min(n);
-                let mut scratch = BfsScratch::new(n);
-                (start..end)
-                    .map(|u| source_runs_masked(g, u as u32, Some(alive), &mut scratch))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        // Rows of the masked graph, built like the compressed table's
+        // (by digit arithmetic when nothing is masked off a shift
+        // digraph).
+        let rows = source_rows(g, (!dead.is_empty()).then_some(&alive[..]));
         // Reverse CSR by counting sort over arc targets.
         let mut rev_offsets = vec![0usize; n + 1];
         for arc in 0..g.arc_count() {

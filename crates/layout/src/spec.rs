@@ -253,6 +253,46 @@ mod tests {
     }
 
     #[test]
+    fn lens_minimal_binary_witnesses_factor_into_byte_tables() {
+        // The OTIS witness permutes and complements binary digits, so
+        // both of its directions evaluate from ⌈D/8⌉ byte tables — at
+        // B(2,20), 3 KB per direction instead of a 4 MB array.
+        for dim in [8u32, 14, 20] {
+            let spec = minimize_lenses(2, dim).expect("even D has a layout");
+            let witness = spec.debruijn_witness().expect("cyclic");
+            let inverse = otis_core::iso::invert_witness(&witness);
+            for (direction, table) in [("to ranks", &witness), ("from ranks", &inverse)] {
+                let map = otis_core::WitnessMap::new(table);
+                assert_eq!(
+                    map.chunk_count(),
+                    dim.div_ceil(8) as usize,
+                    "B(2,{dim}) {direction}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn h_numbered_fabric_takes_the_bfs_path() {
+        // H(4,8,2) ≅ B(2,4), but in transceiver numbering its arcs do
+        // not shift: the compressed build must fall back to the BFS
+        // and still answer like the dense BFS table.
+        use otis_digraph::compressed::{CompressedNextHopTable, ShiftDigraph};
+        let spec = LayoutSpec::new(2, 2, 3);
+        let h = spec.h_digraph().digraph();
+        assert_eq!(ShiftDigraph::detect(&h), None);
+        assert!(ShiftDigraph::detect(&DeBruijn::new(2, 4).digraph()).is_some());
+        let compressed = CompressedNextHopTable::build(&h);
+        let dense = otis_digraph::bfs::NextHopTable::build(&h);
+        for u in 0..h.node_count() as u32 {
+            for dst in 0..h.node_count() as u32 {
+                assert_eq!(compressed.next_hop(u, dst), dense.next_hop(u, dst));
+                assert_eq!(compressed.distance(u, dst), dense.distance(u, dst));
+            }
+        }
+    }
+
+    #[test]
     fn corollary_4_2_negative_split() {
         // H(8,64,2): p'=3, q'=6, D=8 — check against the criterion and
         // the ground truth simultaneously.
