@@ -303,7 +303,7 @@ fn bench_queueing_1m_b_2_14(c: &mut Criterion) {
     let b = DeBruijn::new(2, 14);
     let n = b.node_count();
     let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 1_000_000, 14);
-    let table = RoutingTable::from_debruijn(&b);
+    let table = RoutingTable::from_family(&b);
     assert!(
         table.is_compressed(),
         "B(2,14) must ride the compressed table"

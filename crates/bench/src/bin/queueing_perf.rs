@@ -404,7 +404,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let b = DeBruijn::new(2, 14);
             let n = b.node_count();
             let source = pregenerated(TrafficPattern::Hotspot, n, 1_000_000, 14);
-            let table = RoutingTable::from_debruijn(&b);
+            let table = RoutingTable::from_family(&b);
             assert!(table.is_compressed());
             let config = QueueConfig {
                 buffers: 16,
@@ -555,7 +555,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let b = DeBruijn::new(2, 16);
             let n = b.node_count();
             let source = pregenerated(TrafficPattern::Uniform, n, 200_000, 16);
-            let table = RoutingTable::from_debruijn(&b);
+            let table = RoutingTable::from_family(&b);
             assert!(table.is_compressed());
             let config = QueueConfig {
                 buffers: 8,

@@ -69,10 +69,6 @@ USAGE:
                        2+ makes backpressure deadlock-free by construction)
     --adaptive         route contention-aware (least-queued candidate hop,
                        scored per VC class when --vcs > 1)
-    --arithmetic       route with the tableless de Bruijn shift router (no
-                       per-node storage; chosen automatically past the
-                       2^20-node compressed-table cap, and at B(2,20)
-                       itself skips the minute-scale table build)
     --sweep            sweep offered load and report saturation throughput
     --load <L>         offered load, packets/node/cycle (default 0.2)
     --policy <P>       full-buffer behavior: taildrop (default) | backpressure
@@ -100,11 +96,15 @@ USAGE:
                        any of these flags switches from the batched static
                        engine to the cycle-accurate queueing simulator;
                        hotspot queueing runs also report hot-vs-background
-                       per-class statistics. Fabrics past the 8192-node dense
-                       table ride the interval-compressed de Bruijn table
-                       through the paper's isomorphism witness, and unicast
-                       workloads stream chunk by chunk, so B(2,20)
-                       (1,048,576 nodes) runs end to end at 10M+ packets.
+                       per-class statistics. Fabrics of up to 1024 nodes
+                       route through a dense next-hop table over the OTIS
+                       numbering, larger ones through the tableless de
+                       Bruijn shift router behind the paper's isomorphism
+                       witness; unicast workloads stream chunk by chunk, so
+                       B(2,20) (1,048,576 nodes) runs end to end at 10M+
+                       packets. Node ids are 32-bit: a fabric needs fewer
+                       than 2^32 nodes, and a queueing run fewer than 2^32
+                       channels (nodes × d × VCs).
   otis sequence <d> <k>                print a de Bruijn sequence dB(d,k)
   otis dot <family> <d> <D>            DOT drawing (debruijn|kautz|ii|rrk)
 ";
@@ -231,11 +231,6 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
 struct TrafficOptions {
     queueing: bool,
     adaptive: bool,
-    /// Route arithmetically (the tableless de Bruijn shift router)
-    /// instead of through a precomputed table. Chosen automatically
-    /// past the compressed-table cap; at the cap itself (B(2,20))
-    /// the flag skips a minute-scale million-row table build.
-    arithmetic: bool,
     sweep: bool,
     load_per_node: f64,
     /// True iff `--load` was given explicitly (a sweep then includes
@@ -262,7 +257,6 @@ fn parse_traffic_args(args: &[String]) -> Result<(Vec<String>, TrafficOptions), 
     let mut options = TrafficOptions {
         queueing: false,
         adaptive: false,
-        arithmetic: false,
         sweep: false,
         load_per_node: 0.2,
         load_set: false,
@@ -343,16 +337,13 @@ fn parse_traffic_args(args: &[String]) -> Result<(Vec<String>, TrafficOptions), 
                 options.adaptive = true;
                 options.queueing = true;
             }
-            "--arithmetic" => {
-                options.arithmetic = true;
-            }
             "--sweep" => {
                 options.sweep = true;
                 options.queueing = true;
             }
             other if other.starts_with("--") => {
                 return Err(format!(
-                    "unknown flag {other:?} (want --buffers|--wavelengths|--vcs|--adaptive|--arithmetic|--sweep|--load|--policy|--dynamics|--stranded|--threads)"
+                    "unknown flag {other:?} (want --buffers|--wavelengths|--vcs|--adaptive|--sweep|--load|--policy|--dynamics|--stranded|--threads)"
                 ));
             }
             _ => positionals.push(arg.clone()),
@@ -360,6 +351,40 @@ fn parse_traffic_args(args: &[String]) -> Result<(Vec<String>, TrafficOptions), 
     }
     Ok((positionals, options))
 }
+
+/// Largest fabric `otis traffic` routes through the dense next-hop
+/// table over the H numbering; every larger one goes through the
+/// arithmetic de Bruijn router behind the layout's witness. Both
+/// return the same hops (de Bruijn shortest paths are unique), so
+/// this is a speed and memory rule only, and distinct from the
+/// library's `NextHopTable::MAX_NODES`, a memory guard for digraphs
+/// that have no arithmetic router.
+///
+/// Measured on a 2-vCPU VM, wall clock and peak RSS of the whole
+/// process, median of 5–8 interleaved runs, `--buffers 16` and
+/// unicast `uniform 200000` at `--load 0.2` (0.1 from 2048 nodes) or
+/// `multicast:8 16000 --policy backpressure --vcs 2 --load 0.015`:
+///
+/// | fabric | shape | dense table | arithmetic |
+/// |---|---|---|---|
+/// | 3^6 = 729 | unicast | 0.18 s / 14 MB | 0.22 s / 14 MB |
+/// | 3^6 = 729 | multicast | 0.19 s / 20 MB | 0.16 s / 16 MB |
+/// | B(2,10) = 1024 | unicast | 0.21 s / 18 MB | 0.27 s / 14 MB |
+/// | B(2,10) = 1024 | multicast | 0.24 s / 29 MB | 0.26 s / 21 MB |
+/// | B(2,11) = 2048 | unicast | 0.62 s / 66 MB | 0.39 s / 14 MB |
+/// | B(2,11) = 2048 | multicast | 0.51 s / 68 MB | 0.36 s / 23 MB |
+/// | 3^7 = 2187 | unicast | 0.51 s / 75 MB | 0.29 s / 14 MB |
+/// | 3^7 = 2187 | multicast | 0.42 s / 77 MB | 0.25 s / 19 MB |
+///
+/// From 2048 nodes up the table's quadratic build dominates; at
+/// B(2,13), `uniform 100000` takes 1.2 s and 524 MB through it
+/// against 0.06 s and 14 MB. At B(2,10) the table's `O(1)` query
+/// still wins or ties ten-times-longer runs (`uniform 2000000`: 1.94
+/// against 2.24 s; `multicast:8 160000`: 2.09 against 2.12 s). The
+/// benchmark has a workload on each side: `otis_multicast_B_2_10`
+/// rides the dense table, `otis_uniform_taildrop_B_2_20` the
+/// arithmetic router.
+const DENSE_TABLE_MAX_NODES: u64 = 1024;
 
 fn cmd_traffic(args: &[String]) -> Result<(), String> {
     let (positionals, mut options) = parse_traffic_args(args)?;
@@ -375,6 +400,24 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
     }
     let n = otis_util::digits::checked_pow(d as u64, dd)
         .ok_or_else(|| format!("d^D overflows u64 (d = {d}, D = {dd})"))?;
+    // Node ids are u32 in the digraph, the layout witness and the
+    // packet arena; the queueing engine's channel ids (arc · VCs +
+    // class) are u32 too, with u32::MAX as its null sentinel.
+    if n > u64::from(u32::MAX) {
+        return Err(format!(
+            "B({d},{dd}) has {n} nodes, but node ids are 32-bit: at most {} nodes",
+            u32::MAX
+        ));
+    }
+    let channels = u128::from(n) * u128::from(d) * options.config.vcs as u128;
+    if options.queueing && channels >= u128::from(u32::MAX) {
+        return Err(format!(
+            "queueing B({d},{dd}) needs {channels} channels ({n} nodes × {d} links × {} VC(s)), \
+             but channel ids are 32-bit: fewer than {} channels",
+            options.config.vcs,
+            u32::MAX
+        ));
+    }
 
     // Host the fabric on its lens-minimal OTIS layout.
     let spec = otis_layout::minimize_lenses(d, dd)
@@ -416,13 +459,6 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
                     .into(),
             );
         }
-        if options.arithmetic {
-            return Err(
-                "--dynamics needs the repairable next-hop table for online reroute; drop \
-                 --arithmetic"
-                    .into(),
-            );
-        }
         if n > otis_digraph::compressed::CompressedNextHopTable::MAX_NODES as u64 {
             return Err(format!(
                 "--dynamics needs the repairable next-hop table, capped at {} nodes (n = {n})",
@@ -445,60 +481,35 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
         ))
     };
 
-    // Up to the dense-table cap, precompute the quadratic table over
-    // the OTIS H-numbering directly. Past it — B(2,14) through
-    // B(2,20) — the fabric rides the *interval-compressed* de Bruijn
-    // table (runs derived arithmetically, no BFS) through the paper's
-    // isomorphism witness: the H fabric is routed in de Bruijn rank
-    // space, the witness evaluated both ways from a few byte tables
-    // (one table lookup per direction when it does not factor). Past
-    // the compressed cap (or under --arithmetic anywhere), the
-    // tableless de Bruijn shift router takes over — no per-node
-    // routing storage at all, any d^D.
+    if n <= DENSE_TABLE_MAX_NODES && options.dynamics.is_none() {
+        let router = otis_core::RoutingTable::from_family(&h);
+        return run_traffic_over(h, router, &workload, pattern, options, build_start);
+    }
+    // Every other run routes the H fabric in de Bruijn rank space
+    // through the paper's isomorphism witness, evaluated both ways
+    // from a few byte tables.
+    let witness = spec
+        .debruijn_witness()
+        .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
+    let b = DeBruijn::new(d, dd);
     if options.dynamics.is_some() {
         // Link dynamics route through the repairable next-hop table,
-        // built in de Bruijn rank space — where the shift rows come
-        // from digit arithmetic instead of one BFS per source, and
-        // compress into a handful of CSR runs — and carried to the H
-        // numbering through the paper's isomorphism witness. The
-        // engine feeds each death/revival to the online repair (the
-        // relabeling translates endpoints to rank space), which
-        // patches only the per-source runs whose min-first-hop
-        // changed, then republishes the immutable snapshot workers
-        // route by. The witness also resolves `rank:`-addressed
-        // timeline events.
-        let witness = spec
-            .debruijn_witness()
-            .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
+        // whose shift rows come from digit arithmetic and compress
+        // into a handful of CSR runs. The engine feeds each
+        // death/revival to the online repair (the relabeling
+        // translates endpoints to rank space), which patches only the
+        // per-source runs whose min-first-hop changed, then
+        // republishes the immutable snapshot workers route by. The
+        // witness also resolves `rank:`-addressed timeline events.
         options.rank_witness = Some(witness.clone());
         let router = otis_core::RelabeledRouter::new(
-            otis_core::DynamicRoutingTable::new(&DeBruijn::new(d, dd).digraph()),
+            otis_core::DynamicRoutingTable::new(&b.digraph()),
             witness,
         );
         return run_traffic_over(h, router, &workload, pattern, options, build_start);
     }
-    if options.arithmetic || n > otis_digraph::compressed::CompressedNextHopTable::MAX_NODES as u64
-    {
-        let witness = spec
-            .debruijn_witness()
-            .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
-        let router = otis_core::RelabeledRouter::new(
-            otis_core::DeBruijnRouter::new(DeBruijn::new(d, dd)),
-            witness,
-        );
-        run_traffic_over(h, router, &workload, pattern, options, build_start)
-    } else if n <= otis_digraph::bfs::NextHopTable::MAX_NODES as u64 {
-        let router = otis_core::RoutingTable::try_from_family(&h).map_err(|e| e.to_string())?;
-        run_traffic_over(h, router, &workload, pattern, options, build_start)
-    } else {
-        let witness = spec
-            .debruijn_witness()
-            .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
-        let b = DeBruijn::new(d, dd);
-        let table = otis_core::RoutingTable::try_from_debruijn(&b).map_err(|e| e.to_string())?;
-        let router = otis_core::RelabeledRouter::new(table, witness);
-        run_traffic_over(h, router, &workload, pattern, options, build_start)
-    }
+    let router = otis_core::RelabeledRouter::new(otis_core::DeBruijnRouter::new(b), witness);
+    run_traffic_over(h, router, &workload, pattern, options, build_start)
 }
 
 /// A generated workload: a streamed unicast source or one-to-many

@@ -127,25 +127,30 @@ fn traffic_rejects_bad_input() {
 }
 
 #[test]
-fn traffic_past_the_dense_cap_rides_the_compressed_table() {
-    // B(2,14) = 16384 nodes — double the dense-table cap, a hard
-    // error before the interval-compressed table. Now the fabric
-    // routes through the arithmetic-compressed de Bruijn table behind
-    // the isomorphism witness, batched engine end to end.
-    let out = otis(&["traffic", "2", "14", "uniform", "2000"]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("≅ B(2,14) — 16384 nodes"), "{text}");
-    assert!(
-        text.contains("relabeled(compressed-table(B(2,14)))"),
-        "{text}"
-    );
-    assert!(
-        text.contains("delivered         : 2000 (100.00%)"),
-        "{text}"
-    );
+fn traffic_router_is_picked_by_fabric_size() {
+    // Up to 1024 nodes the dense table over the OTIS numbering wins;
+    // every larger fabric routes arithmetically behind the layout's
+    // isomorphism witness, batched engine end to end.
+    for (dim, nodes, router) in [
+        ("10", "1024", "router: table(H(32,64,2))"),
+        ("11", "2048", "router: relabeled(arithmetic(B(2,11)))"),
+        ("14", "16384", "router: relabeled(arithmetic(B(2,14)))"),
+    ] {
+        let out = otis(&["traffic", "2", dim, "uniform", "2000"]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains(&format!("≅ B(2,{dim}) — {nodes} nodes")),
+            "{text}"
+        );
+        assert!(text.contains(router), "{text}");
+        assert!(
+            text.contains("delivered         : 2000 (100.00%)"),
+            "{text}"
+        );
+    }
 
-    // And the cycle-accurate queueing engine on the same fabric.
+    // And the cycle-accurate queueing engine on the large fabric.
     let out = otis(&[
         "traffic",
         "2",
@@ -159,6 +164,7 @@ fn traffic_past_the_dense_cap_rides_the_compressed_table() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
+    assert!(text.contains("relabeled(arithmetic(B(2,14)))"), "{text}");
     assert!(
         text.contains("delivered         : 2000 (100.00%)"),
         "{text}"
@@ -169,15 +175,12 @@ fn traffic_past_the_dense_cap_rides_the_compressed_table() {
 fn traffic_multicast_past_the_dense_cap_rides_the_relabeled_table() {
     // The multicast tentpole must work through `RelabeledRouter`:
     // B(2,14) trees are built against the OTIS H-numbered fabric by
-    // walking the compressed de Bruijn table behind the isomorphism
+    // walking the arithmetic de Bruijn router behind the isomorphism
     // witness, batched and queueing engines both.
     let out = otis(&["traffic", "2", "14", "multicast:8", "400"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(
-        text.contains("relabeled(compressed-table(B(2,14)))"),
-        "{text}"
-    );
+    assert!(text.contains("relabeled(arithmetic(B(2,14)))"), "{text}");
     assert!(text.contains("routed 400 multicast:8 trees"), "{text}");
     assert!(text.contains("(3200 destination leaves)"), "{text}");
     assert!(text.contains("(100.00%)"), "{text}");
@@ -376,9 +379,11 @@ fn traffic_sweep_reports_saturation() {
 
 #[test]
 fn traffic_rejects_unknown_flags_and_bad_values() {
-    let out = otis(&["traffic", "2", "6", "uniform", "100", "--warp"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
+    for flag in ["--warp", "--arithmetic"] {
+        let out = otis(&["traffic", "2", "6", "uniform", "100", flag]);
+        assert!(!out.status.success());
+        assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
+    }
 
     let out = otis(&["traffic", "2", "6", "uniform", "100", "--buffers", "0"]);
     assert!(!out.status.success());
@@ -404,6 +409,31 @@ fn traffic_rejects_unknown_flags_and_bad_values() {
     let out = otis(&["traffic", "2", "6", "uniform", "100", "--load", "nan"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("positive finite"), "{}", stderr(&out));
+}
+
+#[test]
+fn traffic_refuses_fabrics_past_the_32_bit_id_limits() {
+    // 2^33 nodes cannot be named by a u32 node id; 2^31 nodes can, but
+    // their 2^32 queueing channels cannot. Both are refused before
+    // anything is built, as errors rather than panics.
+    for (args, limit) in [
+        (
+            &["traffic", "2", "33", "uniform", "10"][..],
+            "at most 4294967295 nodes",
+        ),
+        (
+            &["traffic", "2", "31", "uniform", "10", "--buffers", "4"][..],
+            "fewer than 4294967295 channels",
+        ),
+    ] {
+        let out = otis(args);
+        assert!(!out.status.success(), "{args:?}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(limit), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?}: built before refusing");
+    }
 }
 
 #[test]

@@ -377,8 +377,8 @@ impl TableBacking {
 /// `II`/`RRK` at non-power sizes, faulted networks. A de Bruijn
 /// fabric in rank numbering (a
 /// [`otis_digraph::compressed::ShiftDigraph`]) gets its compressed
-/// runs by digit arithmetic instead of one BFS per source;
-/// [`RoutingTable::from_debruijn`] takes that path at every size.
+/// runs by digit arithmetic instead of one BFS per source, so
+/// [`RoutingTable::try_from_family`] on `B(2,20)` builds in seconds.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     backing: TableBacking,
@@ -451,46 +451,8 @@ impl RoutingTable {
         Ok(table)
     }
 
-    /// Interval-compressed table for a de Bruijn fabric, at every size
-    /// (the family path switches to dense below the dense cap). Its
-    /// rank-numbered digraph is a
-    /// [`otis_digraph::compressed::ShiftDigraph`], so the runs are
-    /// derived *arithmetically*: from source `u`, destination space
-    /// splits into the `O(d · D)` prefix intervals of `u`'s suffix
-    /// matches, each further cut at multiples of `d^{k-1}` where the
-    /// appended digit flips. No BFS at all — `B(2,16)`'s 65536 sources
-    /// compress in milliseconds, which is what makes table routing on
-    /// paper-scale fabrics practical on a laptop. Answers are
-    /// identical to the BFS-built tables: the descending out-neighbor
-    /// of a de Bruijn routing step is unique, so "the arithmetic hop"
-    /// and "the smallest descending neighbor" are the same vertex.
-    pub fn try_from_debruijn(b: &DeBruijn) -> Result<Self, TableCapExceeded> {
-        let n = b.node_count();
-        if n > CompressedNextHopTable::MAX_NODES as u64 {
-            return Err(TableCapExceeded {
-                nodes: n as usize,
-                cap: CompressedNextHopTable::MAX_NODES,
-            });
-        }
-        let g = b.digraph();
-        Ok(RoutingTable {
-            backing: TableBacking::Compressed(CompressedNextHopTable::try_build(&g)?),
-            label: b.name(),
-            g,
-        })
-    }
-
-    /// As [`RoutingTable::try_from_debruijn`], panicking past the
-    /// compressed cap.
-    pub fn from_debruijn(b: &DeBruijn) -> Self {
-        match Self::try_from_debruijn(b) {
-            Ok(table) => table,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
     /// True iff the backing is the interval-compressed representation
-    /// (fabrics beyond the dense cap, or [`RoutingTable::from_debruijn`]).
+    /// (fabrics beyond the dense cap).
     pub fn is_compressed(&self) -> bool {
         matches!(self.backing, TableBacking::Compressed(_))
     }
@@ -556,10 +518,13 @@ impl Router for RoutingTable {
 ///
 /// This is what lets an OTIS `H(p, q, d)` fabric — whose node ids are
 /// transceiver-group coordinates — ride the de Bruijn rank-space
-/// machinery at full scale: the arithmetic routers and the
-/// arithmetic-compressed [`RoutingTable::from_debruijn`] both speak
-/// de Bruijn ranks, and the witness is exactly the paper's
-/// isomorphism. Both directions of the witness are held as
+/// machinery at full scale: [`DeBruijnRouter`] and the repairable
+/// [`crate::DynamicRoutingTable`] over `B(d, D)` both speak de Bruijn
+/// ranks, and the witness is exactly the paper's isomorphism.
+/// Candidates come back in the outer fabric's order (see
+/// [`Router::ranked_candidates`]), so an adaptive router ranks ties
+/// exactly as it would over a table built on the outer fabric. Both
+/// directions of the witness are held as
 /// [`WitnessMap`]s: the OTIS witnesses at `d = 2` permute and
 /// complement binary digits, so each direction evaluates from a few
 /// L1-resident byte tables (three lookups at `2^20` nodes) instead of
@@ -636,11 +601,17 @@ impl<R: Router> Router for RelabeledRouter<R> {
         let (Some(c), Some(d)) = (self.to_inner.get(current), self.to_inner.get(dst)) else {
             return RankedCandidates::new();
         };
-        self.inner
+        let mut ranked: RankedCandidates = self
+            .inner
             .ranked_candidates(c, d)
             .iter()
             .filter_map(|&(dist, v)| Some((dist, self.from_inner.get(v)?)))
-            .collect()
+            .collect();
+        // The inner router breaks ties in inner (rank) order. Digraph
+        // adjacency lists are sorted, so the outer fabric's neighbor
+        // order is ascending node id: sort by (distance, outer node).
+        ranked.as_mut_slice().sort_unstable();
+        ranked
     }
 
     fn distance(&self, src: u64, dst: u64) -> Option<u64> {
@@ -1300,7 +1271,7 @@ mod tests {
         // minutes, so it is ignored by default and run by CI's
         // release pass.
         let b = DeBruijn::new(2, 20);
-        let table = RoutingTable::try_from_debruijn(&b).expect("at-cap build must succeed");
+        let table = RoutingTable::try_from_family(&b).expect("at-cap build must succeed");
         assert!(table.is_compressed());
         let arithmetic = DeBruijnRouter::new(b);
         let n = b.node_count();
@@ -1329,34 +1300,35 @@ mod tests {
     fn debruijn_compressed_table_matches_dense_and_arithmetic() {
         // The arithmetic run builder must answer every query exactly
         // like the BFS-built dense table (both pick the unique
-        // descending neighbor) — hops, distances, and candidates.
+        // descending neighbor), and the arithmetic router must rank
+        // candidates exactly like the dense table.
         for (d, dim) in [(2u32, 5u32), (3, 3), (4, 2)] {
             let b = DeBruijn::new(d, dim);
             let dense = RoutingTable::from_family(&b);
-            let compressed = RoutingTable::from_debruijn(&b);
-            assert!(compressed.is_compressed());
+            let compressed = CompressedNextHopTable::build(&b.digraph());
             let arithmetic = DeBruijnRouter::new(b);
-            let n = b.node_count();
+            let n = b.node_count() as u32;
             for src in 0..n {
                 for dst in 0..n {
+                    let (s, t) = (u64::from(src), u64::from(dst));
                     assert_eq!(
-                        compressed.next_hop(src, dst),
-                        dense.next_hop(src, dst),
+                        compressed.next_hop(src, dst).map(u64::from),
+                        dense.next_hop(s, t),
                         "B({d},{dim}) hop {src}->{dst}"
                     );
                     assert_eq!(
-                        compressed.next_hop(src, dst),
-                        arithmetic.next_hop(src, dst),
+                        arithmetic.next_hop(s, t),
+                        dense.next_hop(s, t),
                         "B({d},{dim}) arithmetic hop {src}->{dst}"
                     );
                     assert_eq!(
                         compressed.distance(src, dst),
-                        dense.distance(src, dst),
+                        dense.table_distance(s, t),
                         "B({d},{dim}) dist {src}->{dst}"
                     );
                     assert_eq!(
-                        compressed.ranked_candidates(src, dst).as_slice(),
-                        dense.ranked_candidates(src, dst).as_slice(),
+                        arithmetic.ranked_candidates(s, t).as_slice(),
+                        dense.ranked_candidates(s, t).as_slice(),
                         "B({d},{dim}) candidates {src}->{dst}"
                     );
                 }
@@ -1536,9 +1508,11 @@ mod tests {
 
     /// The candidates contract, checked for one router against its
     /// digraph: real arcs, reachable, sorted by remaining distance,
-    /// first entry a shortest-path hop, empty iff next_hop is None.
+    /// ties in `g`'s neighbor order, first entry a shortest-path hop,
+    /// empty iff next_hop is None.
     fn assert_candidates_contract(router: &dyn Router, g: &Digraph) {
         for src in 0..g.node_count() as u64 {
+            let neighbors = g.out_neighbors(src as u32);
             for dst in 0..g.node_count() as u64 {
                 let candidates = router.candidates(src, dst);
                 assert_eq!(
@@ -1548,12 +1522,17 @@ mod tests {
                 );
                 let mut previous = None;
                 for &v in &candidates {
-                    assert!(g.has_arc(src as u32, v as u32), "{src}->{dst} via {v}");
+                    let slot = neighbors.iter().position(|&w| u64::from(w) == v);
+                    let slot = slot.unwrap_or_else(|| panic!("{src}->{dst} via {v}: no such arc"));
                     let left = router.distance(v, dst).expect("candidates reach dst");
-                    if let Some(prev) = previous {
+                    if let Some((prev, prev_slot)) = previous {
                         assert!(prev <= left, "{src}->{dst}: candidates out of order");
+                        assert!(
+                            prev < left || prev_slot < slot,
+                            "{src}->{dst}: tie at distance {left} out of neighbor order"
+                        );
                     }
-                    previous = Some(left);
+                    previous = Some((left, slot));
                 }
                 if let Some(&first) = candidates.first() {
                     let dist = router.distance(src, dst).unwrap();
@@ -1588,6 +1567,29 @@ mod tests {
         let kg = k.digraph();
         assert_candidates_contract(&KautzRouter::new(k), &kg);
         assert_candidates_contract(&RoutingTable::new(&kg), &kg);
+
+        // At d = 3 equal-distance candidates exist, so tie order is
+        // observable. A relabeled router must rank ties in the outer
+        // fabric's neighbor order, not in the inner router's.
+        use rand::seq::SliceRandom as _;
+        use rand::SeedableRng as _;
+        let b = DeBruijn::new(3, 3);
+        let inner_g = b.digraph();
+        assert_candidates_contract(&DeBruijnRouter::new(b), &inner_g);
+        assert_candidates_contract(&RoutingTable::new(&inner_g), &inner_g);
+        let mut witness: Vec<u32> = (0..b.node_count() as u32).collect();
+        witness.shuffle(&mut rand::rngs::StdRng::seed_from_u64(3));
+        let inverse = crate::iso::invert_witness(&witness);
+        let outer_g = Digraph::from_fn(witness.len(), |outer| {
+            inner_g
+                .out_neighbors(witness[outer as usize])
+                .iter()
+                .map(|&v| inverse[v as usize])
+                .collect::<Vec<_>>()
+        });
+        let relabeled = RelabeledRouter::new(DeBruijnRouter::new(b), witness);
+        assert_candidates_contract(&relabeled, &outer_g);
+        assert_candidates_contract(&RoutingTable::new(&outer_g), &outer_g);
     }
 
     #[test]

@@ -106,7 +106,9 @@ impl<'a> TrafficEngine<'a> {
     /// [`WorkloadSource::from_pairs`] and chunk the same way, so a
     /// generated source and its materialized pairs report identically,
     /// energy total included. A workload under one chunk routes on one
-    /// worker.
+    /// worker. As in the queueing engine, every source must be a
+    /// fabric node, and a pair whose destination is not one is dropped
+    /// without asking the router.
     pub fn run(&self, router: &dyn Router, source: &WorkloadSource) -> TrafficReport {
         let n = self.node_count();
         assert_eq!(
@@ -115,6 +117,7 @@ impl<'a> TrafficEngine<'a> {
             "router covers {} nodes but the fabric has {n}",
             router.node_count()
         );
+        source.assert_sources_within(n, "workload source");
         // Each worker owns a full link-load vector (links is small —
         // n·d — so per-worker copies are cheap) and merges at the end.
         let partials = par_map(source.chunk_count(), 1, |chunk_index| {
@@ -128,9 +131,16 @@ impl<'a> TrafficEngine<'a> {
     /// Route one chunk of pairs into a fresh accumulator.
     fn route_chunk(&self, router: &dyn Router, pairs: &[(u64, u64)]) -> Partial {
         let links = self.neighbors.len();
-        let hop_limit = (self.node_count() as usize).max(64);
+        let n = self.node_count();
+        let hop_limit = (n as usize).max(64);
         let mut partial = Partial::new(links, pairs.len());
         for &(src, dst) in pairs {
+            if dst >= n {
+                // Unroutable: no router is asked about a node that
+                // does not exist.
+                partial.dropped += 1;
+                continue;
+            }
             let mut current = src;
             let mut hops = 0u32;
             let mut latency = 0.0f64;
@@ -617,6 +627,38 @@ mod tests {
         assert_eq!(report.delivered_leaves, 1, "the self-request");
         assert_eq!(report.dropped_leaves, 2);
         assert_eq!(report.tree_arcs, 0);
+    }
+
+    #[test]
+    fn off_fabric_destinations_drop_through_every_router() {
+        // H(4,8,2) ≅ B(2,4). The arc 5 → 11 is also a de Bruijn shift
+        // of rank 5, so even the router that reads H ids as ranks
+        // delivers it; 99 is no fabric node and must be dropped before
+        // any router is asked about it.
+        let (sim, _) = engine_fixture();
+        let engine = TrafficEngine::new(&sim);
+        let b = otis_core::DeBruijn::new(2, 4);
+        let witness = otis_digraph::iso::find_isomorphism(&sim.h().digraph(), &b.digraph())
+            .expect("H(4,8,2) ≅ B(2,4)");
+        let routers: [&dyn Router; 3] = [
+            &otis_core::DeBruijnRouter::new(b),
+            &RoutingTable::from_family(sim.h()),
+            &otis_core::RelabeledRouter::new(otis_core::DeBruijnRouter::new(b), witness),
+        ];
+        for router in routers {
+            let report = engine.run(router, &WorkloadSource::from_pairs(vec![(5, 11), (1, 99)]));
+            assert_eq!(report.delivered, 1, "{}", router.name());
+            assert_eq!(report.dropped, 1, "{}", router.name());
+            assert_eq!(report.total_hops, 1, "{}", router.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a fabric node")]
+    fn off_fabric_source_is_refused() {
+        let (sim, _) = engine_fixture();
+        let router = RoutingTable::from_family(sim.h());
+        TrafficEngine::new(&sim).run(&router, &WorkloadSource::from_pairs(vec![(0, 3), (99, 1)]));
     }
 
     #[test]

@@ -565,17 +565,12 @@ pub(super) fn execute(
     // Every source must be a fabric node. Checked here, before any
     // tree is built or worker spawned: a panic inside the worker scope
     // would leave the other workers waiting at a barrier forever.
-    if let Some(max) = source.max_source() {
-        let what = if groups.is_some() {
-            "group root"
-        } else {
-            "workload source"
-        };
-        assert!(
-            max < n,
-            "{what} {max} is not a fabric node (fabric has {n})"
-        );
-    }
+    let what = if groups.is_some() {
+        "group root"
+    } else {
+        "workload source"
+    };
+    source.assert_sources_within(n, what);
     let _run = engine.claim_run();
     let trees = groups.map(|groups| {
         assert!(hot_dst.is_none(), "multicast runs are unclassified");

@@ -273,8 +273,8 @@ impl WorkloadSource {
 
     /// An explicit pair list behind the chunked interface: chunk `c`
     /// is the slice at [`Self::chunk_bounds`]`(c)`. Endpoints are not
-    /// checked here: the queueing engine requires every `src` to be a
-    /// fabric node and drops off-fabric destinations as unroutable.
+    /// checked here: both engines require every `src` to be a fabric
+    /// node and drop off-fabric destinations as unroutable.
     pub fn from_pairs(pairs: impl Into<Vec<(u64, u64)>>) -> Self {
         let pairs = pairs.into();
         WorkloadSource {
@@ -337,11 +337,17 @@ impl WorkloadSource {
         self.packets == 0
     }
 
-    /// An upper bound on every source in the stream, known without
-    /// decoding it: the generated node space's top node, or an
-    /// explicit list's largest source. `None` for an empty stream.
-    pub(crate) fn max_source(&self) -> Option<u64> {
-        self.max_source
+    /// Panic unless every source in the stream is a node of an
+    /// `n`-node fabric, checked without decoding the stream. `what`
+    /// names a source in the message ("workload source", "group
+    /// root"). Both engines call this before routing anything.
+    pub(crate) fn assert_sources_within(&self, n: u64, what: &str) {
+        if let Some(max) = self.max_source {
+            assert!(
+                max < n,
+                "{what} {max} is not a fabric node (fabric has {n})"
+            );
+        }
     }
 
     /// Number of chunks ([`Self::CHUNK`] indices each, last partial).

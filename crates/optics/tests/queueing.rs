@@ -1134,7 +1134,7 @@ fn multicast_forwarding_index_agrees_across_engines() {
 fn compressed_table_runs_the_queueing_engine_past_the_dense_cap() {
     let b = DeBruijn::new(2, 14); // 16384 nodes, 2× the dense cap
     let n = b.node_count();
-    let table = RoutingTable::from_debruijn(&b);
+    let table = RoutingTable::from_family(&b);
     assert!(table.is_compressed());
     let workload = generate_workload(TrafficPattern::Uniform, n, 2, 20_000, 5);
     let config = QueueConfig {
