@@ -745,6 +745,60 @@ mod tests {
         }
     }
 
+    /// B(2,8) under a scrambled numbering: the same fabric, but not a
+    /// shift digraph, so its rows come from per-source BFS.
+    fn scrambled_debruijn_2_8() -> Digraph {
+        let mapping: Vec<u32> = (0..256u32).map(|u| (u * 77 + 13) % 256).collect();
+        let g = crate::ops::relabel(&debruijn(2, 8), &mapping);
+        assert!(crate::compressed::ShiftDigraph::detect(&g).is_none());
+        g
+    }
+
+    /// Flip 40 arcs in a scrambled order, then revive whatever is
+    /// still down in arc order; the summed cost of every event.
+    fn walk_cost(g: &Digraph) -> (usize, usize, usize) {
+        let mut table = RepairableNextHopTable::new(g);
+        let m = g.arc_count();
+        let mut total = RepairStats::default();
+        let mut state = 0x2545_F491u64;
+        for _ in 0..40usize {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let arc = (state >> 33) as usize % m;
+            total.absorb(table.set_arc_alive(arc, !table.arc_alive(arc)));
+        }
+        assert_matches_rebuild(&table);
+        for arc in 0..m {
+            total.absorb(table.set_arc_alive(arc, true));
+        }
+        assert_eq!(table.snapshot(), CompressedNextHopTable::build(g));
+        (
+            total.rows_recomputed,
+            total.rows_patched,
+            total.runs_patched,
+        )
+    }
+
+    #[test]
+    fn kill_revive_walks_keep_their_repair_cost() {
+        // Pinned totals: a change to the repair kernel must leave the
+        // per-event cost counters exactly where they were.
+        let walks = [
+            ("B(2,8)", debruijn(2, 8), (13521, 10539, 513604)),
+            ("B(3,4)", debruijn(3, 4), (3961, 2123, 50309)),
+            ("chords(37)", kautz_like(), (1288, 1052, 34800)),
+            (
+                "scrambled B(2,8)",
+                scrambled_debruijn_2_8(),
+                (11671, 8868, 2158937),
+            ),
+        ];
+        for (name, g, expected) in walks {
+            assert_eq!(walk_cost(&g), expected, "{name}");
+        }
+    }
+
     #[test]
     fn dead_arcs_unroute_and_revive_reroutes() {
         // A 4-cycle: killing 1→2 makes everything downstream of 1
