@@ -1,5 +1,7 @@
 //! Property-based tests for the digraph substrate.
 
+use otis_digraph::compressed::{CompressedNextHopTable, ShiftDigraph};
+use otis_digraph::repair::RepairableNextHopTable;
 use otis_digraph::{bfs, connectivity, invariants, iso, ops, Digraph, DigraphBuilder};
 use proptest::prelude::*;
 
@@ -136,5 +138,44 @@ proptest! {
         prop_assert_eq!(c, g.clone());
         let c_left = ops::conjunction(&one, &g);
         prop_assert_eq!(c_left, g);
+    }
+}
+
+/// Strategy: a random fabric for the repair battery — 5..=200
+/// vertices, each with 0..=4 out-arcs to uniform targets, so loops,
+/// parallel arcs and sinks (unreachable pairs) all occur and nothing
+/// follows a shift numbering.
+fn repair_fabric_strategy() -> impl Strategy<Value = Digraph> {
+    (5usize..=200).prop_flat_map(|n| {
+        proptest::collection::vec(proptest::collection::vec(0..n as u32, 0..=4), n)
+            .prop_map(move |out| Digraph::from_fn(n, |u| out[u as usize].clone()))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Repair matches a from-scratch build of the survivor digraph
+    /// after every flip of a random kill/revive walk.
+    #[test]
+    fn repair_walk_matches_rebuild_on_arbitrary_digraphs(
+        g in repair_fabric_strategy(),
+        flips in proptest::collection::vec(any::<usize>(), 1..=40),
+    ) {
+        prop_assume!(g.arc_count() > 0 && ShiftDigraph::detect(&g).is_none());
+        let mut table = RepairableNextHopTable::new(&g);
+        for (step, flip) in flips.into_iter().enumerate() {
+            let arc = flip % g.arc_count();
+            table.set_arc_alive(arc, !table.arc_alive(arc));
+            let rebuilt = CompressedNextHopTable::try_build(&table.survivor_digraph())
+                .expect("under the cap");
+            prop_assert_eq!(
+                table.snapshot(),
+                rebuilt,
+                "diverged at flip {} (arc {})",
+                step,
+                arc
+            );
+        }
     }
 }
