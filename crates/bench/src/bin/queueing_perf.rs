@@ -436,8 +436,10 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
         // same pristine table; the figure prices what dynamics cost
         // versus the static `hotspot_B_2_14_1M_compressed_taildrop`
         // row above (`--check` gates that ratio at 3x: workers route
-        // through epoch snapshots, so the gap is publication cost,
-        // not a per-query lock).
+        // through epoch snapshots, so no query takes a lock; the gap
+        // is the sequential dynamics slot, mostly online repair with
+        // snapshot publication a few percent of the run, plus the
+        // dynamics run's slower cycles outside that slot).
         "dynamics_fade_B_2_14" => {
             let b = DeBruijn::new(2, 14);
             let n = b.node_count();
