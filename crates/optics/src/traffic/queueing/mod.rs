@@ -1452,6 +1452,47 @@ mod tests {
     }
 
     #[test]
+    fn an_unrelated_crossing_leaves_the_stall_count_alone() {
+        // Forty packets 1 → 6 on B(2,3) through one single-slot
+        // buffer: source 1 stalls behind its first hop for most of
+        // the run, parked. A beam crossing zero wakes every parked
+        // source on the sequential slot at the top of a cycle, and the
+        // cycles it settles must be exactly the scans it skipped — so
+        // a fade of the self-loop 7 → 7, which no shortest path uses,
+        // must not move the count.
+        use otis_core::{DeBruijn, DeBruijnRouter};
+        let b = DeBruijn::new(2, 3);
+        let run = |dynamics: Option<&str>| {
+            let mut engine = QueueingEngine::from_family(
+                &b,
+                QueueConfig {
+                    vcs: 2,
+                    ..config(1, 1, ContentionPolicy::Backpressure)
+                },
+            );
+            if let Some(spec) = dynamics {
+                engine
+                    .try_set_dynamics_relabeled(
+                        spec.parse().expect("valid spec"),
+                        StrandedPolicy::Reinject,
+                        None,
+                    )
+                    .expect("7 → 7 is a fabric link");
+            }
+            engine.run(&DeBruijnRouter::new(b), &[(1, 6); 40], 40.0)
+        };
+        let calm = run(None);
+        let faded = run(Some("fade@5:7>7:0:3"));
+        assert_eq!(faded.link_down_events, 1);
+        for report in [&calm, &faded] {
+            assert_eq!(report.delivered, 40, "{report:?}");
+            assert_eq!(report.cycles, 80, "{report:?}");
+        }
+        assert!(calm.source_stall_cycles > 0, "{calm:?}");
+        assert_eq!(faded.source_stall_cycles, calm.source_stall_cycles);
+    }
+
+    #[test]
     fn hop_cache_matches_fresh_queries() {
         // A stateless router with a query counter: the cached engine
         // must answer identically to an uncachable twin while asking

@@ -2040,8 +2040,11 @@ fn wake_all(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerS
             continue;
         }
         // The cycles the scan skipped would each have counted one
-        // stall — same settlement as the pop-driven wake.
-        main.source_stall_cycles += main.cycle - parked_at;
+        // stall. This slot runs before the current cycle's inject
+        // phase re-scans the source, so the skipped scans end at the
+        // previous cycle (the pop-driven wake in `apply` runs after
+        // its cycle's scan and settles through it).
+        main.source_stall_cycles += main.cycle - 1 - parked_at;
         shared.source_parked_at[src].store(u64::MAX, Relaxed);
         shared.source_waiter_link[src].store(NONE, Relaxed);
         if shared.src_listed[src].load(Relaxed) == 0 && shared.src_head[src].load(Relaxed) != NONE {
