@@ -6,23 +6,29 @@
 //! buffers whose blocks scatter packets across the heap, so every
 //! drain touched allocator metadata and cold cache lines. Here all
 //! packet state lives in structure-of-arrays slabs, indexed by a
-//! `u32` packet id:
+//! `u32` packet id. A workload entry is **one record** from decode
+//! until it retires: it waits on its source's pending FIFO, enters
+//! its first-hop channel as itself, and is recycled when it is
+//! delivered or dropped (a multicast group's record retires at
+//! injection, its tree copies are records of their own):
 //!
 //! * ids are recycled through a free list, so a steady-state run's
-//!   working set is its *in-flight* packets, not its packet count —
-//!   a million-packet run with 10k in flight touches 10k slots;
+//!   working set is its *live* records — pending entries plus
+//!   packets in flight — not its packet count: a million-packet run
+//!   with 10k live touches 10k slots;
 //! * the slabs are **chunked** and lazily grown: a fixed-size chunk of
 //!   every field materializes the first time an id in its range is
-//!   touched, so resident memory tracks the run's live-packet
+//!   touched, so resident memory tracks the run's live-record
 //!   watermark, not the offered load. A ten-million-packet stream
-//!   whose watermark is 2M packets allocates 2M slots' worth of
+//!   whose watermark is 2M records allocates 2M slots' worth of
 //!   chunks (~28 bytes each), never the 280 MB a full-length slab
 //!   would cost — and the free list's LIFO recycling keeps the
 //!   watermark (and the chunk count) at the congestion peak;
-//! * each channel's FIFO is an intrusive singly linked list threaded
-//!   through the `link` slab (`head`/`tail` per channel), so push/pop
-//!   are two or three word writes and the queue nodes are the packets
-//!   themselves — no per-channel allocation, ever;
+//! * every FIFO — a source's pending entries, a channel's packets —
+//!   is an intrusive singly linked list threaded through the `link`
+//!   slab, so push/pop are two or three word writes and the queue
+//!   nodes are the records themselves — no per-queue allocation,
+//!   ever;
 //! * slab fields are atomics (`Relaxed`) because the inject and drain
 //!   phases shard packets across workers: every slot has exactly one
 //!   writer per phase, and the phase barriers order everything else.
@@ -69,9 +75,10 @@ impl Slab {
 }
 
 /// Chunked structure-of-arrays packet slabs, `u32`-indexed. The chunk
-/// *table* is sized at construction (a run can never hold more live
-/// packets than its workload has entries), but chunks materialize
-/// on first touch — all access is `&self`, from any phase's worker.
+/// *table* is sized at construction (a run's live records are bounded
+/// by its workload entries plus, for multicast, its tree arcs), but
+/// chunks materialize on first touch — all access is `&self`, from
+/// any phase's worker.
 pub(super) struct PacketArena {
     chunks: Vec<OnceLock<Slab>>,
 }
@@ -108,7 +115,9 @@ impl PacketArena {
         self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
 
-    /// Destination node (unicast) or tree arc (multicast).
+    /// Destination node of a unicast record ([`NONE`] when it lies
+    /// off the fabric), group index of a pending multicast entry, or
+    /// tree arc of a multicast copy.
     #[inline]
     pub fn dst(&self, id: u32) -> &AtomicU32 {
         let (chunk, offset) = self.slot(id);
@@ -136,17 +145,20 @@ impl PacketArena {
         &chunk.vc[offset]
     }
 
-    /// Cached next-hop arc at the packet's current node, for stateless
+    /// Cached next-hop arc at the packet's current node (a pending
+    /// entry's: its first hop from the source), for stateless
     /// routers: [`NONE`] = not computed; invalidated on every move.
-    /// This is what makes a blocked head cost a word load per cycle
-    /// instead of a router query.
+    /// This is what makes a blocked head — a channel's or a stalled
+    /// source's — cost a word load per cycle instead of a router
+    /// query.
     #[inline]
     pub fn cached_next(&self, id: u32) -> &AtomicU32 {
         let (chunk, offset) = self.slot(id);
         &chunk.cached_next[offset]
     }
 
-    /// Intrusive FIFO link: the next packet in this packet's channel.
+    /// Intrusive FIFO link: the next record in this record's queue —
+    /// its source's pending FIFO, then its channel's.
     #[inline]
     pub fn link(&self, id: u32) -> &AtomicU32 {
         let (chunk, offset) = self.slot(id);
@@ -156,10 +168,11 @@ impl PacketArena {
     /// Initialize a freshly claimed slot.
     pub fn init(&self, id: u32, dst: u32, offered: u64, vc: u8) {
         // ORDERING: Relaxed stores — the slot id was claimed from the
-        // allocator (mutex or sequential phase), so this worker is the
-        // slot's sole owner until it publishes the id into a channel
-        // FIFO, and that publication happens in a later phase beyond a
-        // Barrier::wait()/lock release that orders these writes first.
+        // allocator (mutex or sequential phase), so this thread is the
+        // slot's sole owner until it publishes the id into a source or
+        // channel FIFO, and the FIFO's readers run in a later phase
+        // beyond a Barrier::wait()/lock release that orders these
+        // writes first.
         let (chunk, offset) = self.slot(id);
         chunk.dst[offset].store(dst, Relaxed);
         chunk.offered[offset].store(offered, Relaxed);
@@ -170,94 +183,12 @@ impl PacketArena {
     }
 }
 
-/// One resident chunk of pending-injection entries.
-struct EntryChunk {
-    dst: Box<[AtomicU64]>,
-    offered: Box<[AtomicU64]>,
-    link: Box<[AtomicU32]>,
-}
-
-impl EntryChunk {
-    fn new() -> Self {
-        let u64s = || (0..CHUNK_SLOTS).map(|_| AtomicU64::new(0)).collect();
-        EntryChunk {
-            dst: u64s(),
-            offered: u64s(),
-            link: (0..CHUNK_SLOTS).map(|_| AtomicU32::new(0)).collect(),
-        }
-    }
-}
-
-/// Chunked slab of *pending* workload entries: pairs the decode step
-/// has pulled from the stream but whose sources have not yet injected.
-/// Destinations stay `u64` (an off-fabric destination is legal — it
-/// drops as unroutable at injection), `offered` is the entry's
-/// offer-clock cycle, and `link` threads each source's pending FIFO.
-/// Chunked like [`PacketArena`], so a backlog of `k` entries costs
-/// `O(k)` resident memory whatever the stream length: the live-
-/// watermark memory model, applied to the injection queue as well as
-/// the in-flight packets.
-pub(super) struct EntryArena {
-    chunks: Vec<OnceLock<EntryChunk>>,
-}
-
-impl EntryArena {
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(
-            capacity < NONE as usize,
-            "entry capacity {capacity} would overflow u32 entry ids"
-        );
-        EntryArena {
-            chunks: (0..capacity.div_ceil(CHUNK_SLOTS))
-                .map(|_| OnceLock::new())
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn slot(&self, id: u32) -> (&EntryChunk, usize) {
-        let chunk = self.chunks[(id >> CHUNK_BITS) as usize].get_or_init(EntryChunk::new);
-        (chunk, (id & OFFSET_MASK) as usize)
-    }
-
-    /// Destination node — possibly off-fabric.
-    #[inline]
-    pub fn dst(&self, id: u32) -> &AtomicU64 {
-        let (chunk, offset) = self.slot(id);
-        &chunk.dst[offset]
-    }
-
-    /// Cycle the entry's injection credit accrued (offer clock).
-    #[inline]
-    pub fn offered(&self, id: u32) -> &AtomicU64 {
-        let (chunk, offset) = self.slot(id);
-        &chunk.offered[offset]
-    }
-
-    /// Intrusive FIFO link: the source's next pending entry.
-    #[inline]
-    pub fn link(&self, id: u32) -> &AtomicU32 {
-        let (chunk, offset) = self.slot(id);
-        &chunk.link[offset]
-    }
-
-    /// Initialize a freshly claimed entry (link starts [`NONE`]).
-    pub fn init(&self, id: u32, dst: u64, offered: u64) {
-        // ORDERING: Relaxed stores — entries are claimed and written
-        // by the sequential decode step only; injection workers read
-        // them after the phase barrier that starts the inject phase.
-        let (chunk, offset) = self.slot(id);
-        chunk.dst[offset].store(dst, Relaxed);
-        chunk.offered[offset].store(offered, Relaxed);
-        chunk.link[offset].store(NONE, Relaxed);
-    }
-}
-
 /// The arena's id supply: fresh slots up to capacity, recycled slots
-/// LIFO (hot slots stay cache-hot). Sequential phases claim directly;
-/// the parallel injection phase refills per-worker id batches through
-/// a mutex around this allocator, one lock per
-/// [`Self::claim_batch`] — not per packet.
+/// LIFO (hot slots stay cache-hot). Sequential phases (decode, which
+/// claims one record per workload entry) claim directly; the parallel
+/// phases refill per-worker id batches for multicast copies through a
+/// mutex around this allocator, one lock per [`Self::claim_batch`] —
+/// not per packet.
 pub(super) struct ArenaAllocator {
     free: Vec<u32>,
     allocated: u32,
@@ -296,8 +227,9 @@ impl ArenaAllocator {
     }
 
     /// Claim up to `want` ids into `out` (recycled first, then fresh);
-    /// stops early only at capacity. Injection workers refill their
-    /// local pools with this — one lock acquisition per batch.
+    /// stops early only at capacity. Workers refill their local
+    /// multicast-copy pools with this — one lock acquisition per
+    /// batch.
     pub fn claim_batch(&mut self, out: &mut Vec<u32>, want: usize) {
         for _ in 0..want {
             if let Some(id) = self.free.pop() {
@@ -311,15 +243,16 @@ impl ArenaAllocator {
         }
     }
 
-    /// Return a batch of slots (a drain phase's departures, or a
+    /// Return a batch of slots (a cycle's retired records, or a
     /// worker pool's leftovers at run end).
     pub fn release_all(&mut self, ids: impl IntoIterator<Item = u32>) {
         self.free.extend(ids);
     }
 
-    /// Live packets = handed out minus recycled. The conservation
+    /// Live records = handed out minus recycled. The conservation
     /// invariant: after a run (with every worker pool returned) this
-    /// must equal the report's `in_flight`.
+    /// must equal the copies still in flight plus the entries still
+    /// pending at their sources.
     pub fn live(&self) -> usize {
         self.allocated as usize - self.free.len()
     }
@@ -483,21 +416,6 @@ mod tests {
         arena.init(last, 7, 1, 0);
         assert_eq!(arena.dst(last).load(Relaxed), 7);
         assert_eq!(arena.resident_chunks(), 3);
-    }
-
-    #[test]
-    fn entry_slab_round_trips_and_grows_lazily() {
-        let entries = EntryArena::with_capacity(2 * CHUNK_SLOTS);
-        entries.init(0, u64::MAX - 1, 17);
-        assert_eq!(entries.dst(0).load(Relaxed), u64::MAX - 1, "u64 dsts");
-        assert_eq!(entries.offered(0).load(Relaxed), 17);
-        assert_eq!(entries.link(0).load(Relaxed), NONE);
-        // Only the touched chunk is resident.
-        assert!(entries.chunks[1].get().is_none());
-        let far = CHUNK_SLOTS as u32 + 3;
-        entries.init(far, 5, 1);
-        assert_eq!(entries.dst(far).load(Relaxed), 5);
-        assert!(entries.chunks[1].get().is_some());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!    slice of the workload. Pairs are pulled from the
 //!    [`WorkloadSource`] in index order, one resident chunk at a time
 //!    (regenerated for a generated source, copied out of an explicit
-//!    pair list), and appended to per-source pending FIFOs in the
-//!    entry slab. A source going nonempty is listed with its owning
+//!    pair list); each claims its packet record and joins its source's
+//!    pending FIFO. A source going nonempty is listed with its owning
 //!    inject worker. A multicast run decodes the same way: its feed
 //!    holds one `(root, group index)` pair per group, so a pending
 //!    entry's `dst` slot names the group, just as an in-flight copy's
@@ -20,18 +20,20 @@
 //!    only that channel's committed `len`, which only this source's
 //!    pushes change within the phase), so the decisions are
 //!    per-source independent and the shard layout is unobservable.
-//!    Packet ids come from per-worker pools refilled in batches from
-//!    the shared allocator — ids are never observable in a report, so
-//!    their interleaving doesn't matter. The one cross-shard touch is
-//!    the downstream node's ready count, which is why [`activate`]
-//!    uses `fetch_add`. Adaptive (non-stateless) routers read the
-//!    congestion scoreboard at injection, so *their* scan order is
-//!    observable: those runs list every source with worker 0 and the
-//!    main thread injects them alone, in listing order — sequential,
-//!    hence still independent of the thread count. A multicast group
-//!    at the head of a root's queue injects one copy per root-child
-//!    tree arc through the same loop; trees are prebuilt, so multicast
-//!    runs count as stateless and shard like any oblivious run.
+//!    An admitted pair enters its channel as the record decode claimed
+//!    for it; multicast copies take ids from per-worker pools refilled
+//!    in batches from the shared allocator — ids are never observable
+//!    in a report, so their interleaving doesn't matter. The one
+//!    cross-shard touch is the downstream node's ready count, which
+//!    is why [`activate`] uses `fetch_add`. Adaptive (non-stateless)
+//!    routers read the congestion scoreboard at injection, so *their*
+//!    scan order is observable: those runs list every source with
+//!    worker 0 and the main thread injects them alone, in listing
+//!    order — sequential, hence still independent of the thread
+//!    count. A multicast group at the head of a root's queue injects
+//!    one copy per root-child tree arc through the same loop; trees
+//!    are prebuilt, so multicast runs count as stateless and shard
+//!    like any oblivious run.
 //! 3. **Drain** (sharded by *downstream-node* ownership): every node
 //!    with any ready inbound channel drains its in-arcs — up to
 //!    `wavelengths` packets per arc, round-robin over VC classes,
@@ -43,7 +45,7 @@
 //!    writes belongs to that node's *own* out-arcs, so ownership is
 //!    disjoint by construction — no locks, no CAS loops in the loop.
 //!    Replicated copies take their ids from the worker's own pool,
-//!    as injection does. Shard boundaries are rounded to 64-node
+//!    as injected root copies do. Shard boundaries are rounded to 64-node
 //!    multiples so workers never share a worklist bitset word, and
 //!    contiguous node ranges keep the de Bruijn arc structure (node
 //!    `v` feeds `dv + c mod n`) cache-local per worker.
@@ -71,12 +73,14 @@
 //! # Memory model
 //!
 //! Nothing here is sized by the offered load. The workload streams
-//! (one regenerated chunk resident at a time), pending entries and
-//! packet state live in lazily-chunked slabs sized by their live
-//! watermark, waits fold into histograms, and packet ids recycle
-//! LIFO. A ten-million-packet run on `B(2,20)` is resident-bounded by
-//! its congestion peak — the fixed per-channel and per-node arrays —
-//! not by the 160 MB the old materialize-then-slab path would take.
+//! (one regenerated chunk resident at a time), and each decoded entry
+//! is one packet record from decode until it is delivered or dropped:
+//! pending at its source, then in flight, in one lazily-chunked slab
+//! sized by its live watermark. Waits fold into histograms, and
+//! record ids recycle LIFO. A ten-million-packet run on `B(2,20)` is
+//! resident-bounded by its congestion peak — the fixed per-channel
+//! and per-node arrays — not by the 160 MB the old
+//! materialize-then-slab path would take.
 //!
 //! # The worklist
 //!
@@ -93,13 +97,24 @@
 //! question it answered last cycle (the head hasn't moved). When
 //! [`Router::hops_are_stateless`] holds, the computed next arc is
 //! cached in the packet and invalidated on movement, so a blocked head
-//! costs a word load, not a routing query. Injection keeps the same
-//! cache keyed by the pending *entry* id (invalidated when the head is
-//! consumed — entry ids recycle). Adaptive routers opt out and are
-//! re-queried every attempt, reading congestion as of the last phase
-//! boundary — stable within a cycle, hence still deterministic.
+//! costs a word load, not a routing query. A pending entry is the same
+//! record, so a stalled source's head caches its first hop the same
+//! way, and admission clears it for the next node. Adaptive routers
+//! opt out and are re-queried every attempt, reading congestion as of
+//! the last phase boundary — stable within a cycle, hence still
+//! deterministic.
+//!
+//! # Parking
+//!
+//! Under a stateless router a blocked head's blocker is fixed, and
+//! under boundary credits its room can only reappear through a
+//! committed pop. So a blocked channel — and a source whose head is
+//! blocked on its first hop — parks on the blocking channel's waiter
+//! list and costs nothing until that pop wakes it. Both kinds share
+//! one list per channel: waiter `c < channels` is channel `c`, waiter
+//! `channels + s` is source `s`.
 
-use super::arena::{ArenaAllocator, ChannelQueues, EntryArena, PacketArena, NONE};
+use super::arena::{ArenaAllocator, ChannelQueues, PacketArena, NONE};
 use super::dynamics::{Crossing, StrandedPolicy, Timeline};
 use super::{arc_of, ContentionPolicy, QueueingEngine, TreeSet};
 use crate::traffic::report::{ClassBreakdown, ClassStats, QueueingReport, WaitHistogram};
@@ -155,17 +170,15 @@ enum Head {
 }
 
 /// The decode step's state: the workload with its one resident chunk,
-/// the offer-clock cursor, the pending-entry id supply, and the
-/// per-worker staging lists for sources that just went nonempty.
-/// Decode consumes indices in ascending order, so it never fills a
-/// chunk twice.
+/// the offer-clock cursor, and the per-worker staging lists for
+/// sources that just went nonempty. Decode consumes indices in
+/// ascending order, so it never fills a chunk twice.
 struct Decoder<'a> {
     source: &'a WorkloadSource,
     chunk: Vec<(u64, u64)>,
     /// Index of the chunk in `chunk` (`usize::MAX` before the first).
     resident: usize,
     next: usize,
-    entry_ids: ArenaAllocator,
     newly_listed: Vec<Vec<u32>>,
 }
 
@@ -197,52 +210,40 @@ struct SharedRun<'a> {
     wavelengths: usize,
     policy: ContentionPolicy,
     hop_limit: u32,
-    /// Router promised pure hops — enable the per-packet cache, park
-    /// blocked channels and sources, and shard injection. Multicast
-    /// runs are always stateless: copies follow prebuilt trees, never
-    /// the live router.
+    /// Router promised pure hops — enable the per-record hop cache,
+    /// park blocked channels and sources, and shard injection.
+    /// Multicast runs are always stateless: copies follow prebuilt
+    /// trees, never the live router.
     stateless: bool,
     /// The flattened delivery trees of a multicast run: pending
     /// entries name a group, arena copies a tree arc.
     trees: Option<&'a TreeSet>,
     hot_dst: Option<u64>,
     classified: bool,
+    /// Every packet record: pending entries and in-flight copies.
     arena: &'a PacketArena,
-    /// The packet id supply. Workers touch it once per [`ID_BATCH`]
-    /// refill; the sequential phases lock it for the phase.
+    /// The record id supply. Decode claims one record per entry on
+    /// the sequential slot; workers touch it once per [`ID_BATCH`]
+    /// refill of their multicast-copy pools; the other sequential
+    /// phases lock it for the phase.
     allocator: &'a Mutex<ArenaAllocator>,
-    /// Pending (decoded, not yet injected) workload entries.
-    entries: &'a EntryArena,
     queues: &'a ChannelQueues<'a>,
-    /// Head/tail of each source's pending-entry FIFO. Written by the
-    /// decode step (main) and the source's inject owner — phases that
-    /// never overlap.
+    /// Head/tail of each source's pending FIFO, threaded through the
+    /// arena's `link`. Written by the decode step (main) and the
+    /// source's inject owner — phases that never overlap.
     src_head: &'a [AtomicU32],
     src_tail: &'a [AtomicU32],
     /// 1 iff the source sits on some worker's inject list — the
     /// listing invariant that keeps a source from being scanned twice.
     src_listed: &'a [AtomicU32],
-    /// Stateless-router injection cache: the pending entry each
-    /// source's cached first-hop arc was computed for, and that arc.
-    /// A backpressured source re-offers the same head every cycle it
-    /// stalls; this makes the re-offer a compare, not a router query.
-    /// Keyed by entry id and invalidated on every head consume
-    /// (entry ids recycle, so a stale key could alias).
-    inject_cached_entry: &'a [AtomicU32],
-    inject_cached_arc: &'a [AtomicU32],
     /// Stateless-router source parking: the cycle each source stalled
     /// and parked (`u64::MAX` = not parked). A parked source is
-    /// delisted until its first-hop channel commits a pop; the
-    /// skipped stall cycles are settled in bulk at wake (and at run
-    /// end), so the counter reads exactly as if the source had been
-    /// re-scanned every cycle.
+    /// delisted and waits on its first-hop channel's waiter list
+    /// (as waiter `channels + src`) until that channel commits a pop;
+    /// the skipped stall cycles are settled in bulk at wake (and at
+    /// run end), so the counter reads exactly as if the source had
+    /// been re-scanned every cycle.
     source_parked_at: &'a [AtomicU64],
-    /// Intrusive per-channel lists of parked sources. Only a
-    /// channel's own source can park on it, so each list has one
-    /// writer per phase; the apply step drains them on committed
-    /// pops.
-    source_waiter_head: &'a [AtomicU32],
-    source_waiter_link: &'a [AtomicU32],
     /// Per-channel occupancy peaks. Each channel has one writer per
     /// phase (its source's inject owner, or the main thread).
     peak: &'a [AtomicU32],
@@ -265,10 +266,13 @@ struct SharedRun<'a> {
     /// a different candidate each cycle, so they never park.)
     parked: &'a [AtomicU32],
     /// Intrusive single-linked waiter lists: `waiter_head[c]` is the
-    /// first channel parked on `c`'s room, threaded through
-    /// `waiter_link`. Written only by the owner of `c`'s source node
-    /// (every channel that can block on `c` drains at that same
-    /// node); drained by the apply step on each committed pop.
+    /// first waiter parked on `c`'s room, threaded through
+    /// `waiter_link` (`channels + n` words: a channel waiter is its
+    /// channel id, a source waiter `channels + src`). Every waiter of
+    /// `c` belongs to `c`'s source node — the in-channels that drain
+    /// there, and the node itself as a source — so each list is
+    /// written only by that node's owner in the phase; the apply step
+    /// drains it on each committed pop.
     waiter_head: &'a [AtomicU32],
     waiter_link: &'a [AtomicU32],
     delivered_per_link: &'a [AtomicU64],
@@ -347,12 +351,10 @@ impl SharedRun<'_> {
 struct WorkerScratch {
     /// Listed sources this worker injects for, in listing order.
     sources: Vec<u32>,
-    /// This worker's packet id pool, refilled from the shared
-    /// allocator in [`ID_BATCH`]es. Injection and replication both
-    /// claim from it.
+    /// This worker's id pool for multicast copies, refilled from the
+    /// shared allocator in [`ID_BATCH`]es. Group injection and
+    /// replication both claim from it.
     ids: Vec<u32>,
-    /// Pending entries consumed this cycle, for recycling at apply.
-    freed_entries: Vec<u32>,
     /// Staged arrivals `(channel, packet)` — moved packets and
     /// replicated copies — in drain order. A multicast run moves
     /// nothing, it only replicates, so either way a channel's arrivals
@@ -361,7 +363,9 @@ struct WorkerScratch {
     staged: Vec<(u32, u32)>,
     /// Batched pop counts `(channel, count)`.
     pops: Vec<(u32, u32)>,
-    /// Departed packet ids (delivered or dropped), for recycling.
+    /// Retired record ids, for recycling at apply: packets delivered
+    /// or dropped in flight, pairs delivered or dropped at their
+    /// source, and injected multicast groups.
     freed: Vec<u32>,
     /// Nodes whose pending count hit zero.
     emptied: Vec<u32>,
@@ -388,7 +392,6 @@ impl WorkerScratch {
         WorkerScratch {
             sources: Vec::new(),
             ids: Vec::new(),
-            freed_entries: Vec::new(),
             staged: Vec::new(),
             pops: Vec::new(),
             freed: Vec::new(),
@@ -426,7 +429,7 @@ struct DrainStats {
     /// multicast a dropped copy departs with its whole subtree
     /// weight.
     departed: usize,
-    /// Arena copies that left the network (`freed` entries).
+    /// Arena copies that left the network.
     departed_copies: usize,
     /// Child copies staged at tree branches this phase.
     spawned_copies: usize,
@@ -594,19 +597,23 @@ pub(super) fn execute(
     // order against. The individual sites below carry notes only where
     // the argument is not this standard one.
 
-    // The arena bound: a unicast run never holds more copies than
-    // packets; a multicast run never holds more copies than tree arcs
+    // The arena bound: each decoded entry is one record until it
+    // retires, and a multicast run adds at most one copy per tree arc
     // (each arc is crossed once).
     let items = source.len();
-    let copy_bound = trees.map_or(items, TreeSet::arc_count);
-    // Headroom for ids parked in worker pools: live packets never
-    // exceed `copy_bound`, but up to `threads · ID_BATCH` claimed ids
-    // may sit idle in pools — those must not trip the overflow assert.
-    let capacity = copy_bound + threads * ID_BATCH;
+    // Headroom for ids parked in worker pools, which feed multicast
+    // copies: up to `threads · ID_BATCH` claimed ids may sit idle
+    // there — those must not trip the overflow assert.
+    let capacity = items + trees.map_or(0, TreeSet::arc_count) + threads * ID_BATCH;
+    // Waiter ids name a channel or, past the channels, a source; the
+    // null link must stay out of that range.
+    assert!(
+        channels + (n as usize) < NONE as usize,
+        "{channels} channels + {n} sources overflow u32 waiter ids"
+    );
 
     let arena = PacketArena::with_capacity(capacity);
     let allocator = Mutex::new(ArenaAllocator::new(capacity));
-    let entries = EntryArena::with_capacity(items);
     // The channels' committed lengths are the engine's occupancy
     // scoreboard, so adaptive routers read exactly what room checks do.
     let queues = ChannelQueues::new(engine.counts());
@@ -616,16 +623,12 @@ pub(super) fn execute(
     let nones = |len: usize| -> Vec<AtomicU32> { (0..len).map(|_| AtomicU32::new(NONE)).collect() };
     let parked = zeros(channels);
     let waiter_head = nones(channels);
-    let waiter_link = nones(channels);
+    let waiter_link = nones(channels + n as usize);
     let src_head = nones(n as usize);
     let src_tail = nones(n as usize);
     let src_listed = zeros(n as usize);
-    let inject_cached_entry = nones(n as usize);
-    let inject_cached_arc = zeros(n as usize);
     let source_parked_at: Vec<AtomicU64> =
         (0..n as usize).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let source_waiter_head = nones(channels);
-    let source_waiter_link = nones(n as usize);
     let peak = zeros(channels);
     let delivered_per_link: Vec<AtomicU64> = (0..arcs).map(|_| AtomicU64::new(0)).collect();
     let bounds = shard_bounds(n as usize, threads);
@@ -689,16 +692,11 @@ pub(super) fn execute(
         classified: hot_dst.is_some(),
         arena: &arena,
         allocator: &allocator,
-        entries: &entries,
         queues: &queues,
         src_head: &src_head,
         src_tail: &src_tail,
         src_listed: &src_listed,
-        inject_cached_entry: &inject_cached_entry,
-        inject_cached_arc: &inject_cached_arc,
         source_parked_at: &source_parked_at,
-        source_waiter_head: &source_waiter_head,
-        source_waiter_link: &source_waiter_link,
         peak: &peak,
         shard_bounds: &bounds,
         node_ready: &node_ready,
@@ -760,7 +758,6 @@ pub(super) fn execute(
         chunk: Vec::new(),
         resident: usize::MAX,
         next: 0,
-        entry_ids: ArenaAllocator::new(items),
         newly_listed: vec![Vec::new(); threads],
     };
 
@@ -851,7 +848,7 @@ pub(super) fn execute(
             // ORDERING: the drain→apply phase barrier (main side) —
             // every worker's cycle work visible to the apply slot.
             barrier.wait();
-            activity += apply(&shared, &mut main, &mut dec, &scratches);
+            activity += apply(&shared, &mut main, &scratches);
             main.cycle += 1;
             let events_pending = timeline.is_some_and(|t| event_cursor < t.transitions.len());
             if activity == 0 && main.in_network > 0 && !events_pending {
@@ -869,10 +866,30 @@ pub(super) fn execute(
         }
     });
 
+    // Entry conservation: decoded minus consumed must equal the
+    // records still waiting on the source FIFOs.
+    let pending = dec.next - main.consumed;
+    let queued: usize = src_head
+        .iter()
+        .map(|head| {
+            let mut count = 0;
+            let mut id = head.load(Relaxed);
+            while id != NONE {
+                count += 1;
+                id = arena.link(id).load(Relaxed);
+            }
+            count
+        })
+        .sum();
+    assert_eq!(
+        queued, pending,
+        "entry leak: {queued} pending records vs {} decoded − {} consumed",
+        dec.next, main.consumed,
+    );
     // Arena conservation: every slot handed out is either recycled
-    // (delivered/dropped), pooled by a worker, or still queued (in
-    // flight). Return the pools, then audit in copy units (a multicast
-    // run's leaf-unit total is the report's `in_flight`).
+    // (retired), pooled by a worker, still pending, or still queued
+    // in flight. Return the pools, then audit in copy units (a
+    // multicast run's leaf-unit total is the report's `in_flight`).
     {
         let mut allocator = shared.allocator.lock().expect("arena allocator");
         for cell in &scratches {
@@ -881,22 +898,12 @@ pub(super) fn execute(
         }
         assert_eq!(
             allocator.live(),
-            main.in_copies,
-            "arena leak: {} live slots vs {} in-flight copies",
+            main.in_copies + pending,
+            "arena leak: {} live slots vs {} in-flight copies + {pending} pending entries",
             allocator.live(),
             main.in_copies,
         );
     }
-    // Entry conservation: decoded minus consumed must equal the live
-    // pending backlog.
-    assert_eq!(
-        dec.entry_ids.live(),
-        dec.next - main.consumed,
-        "entry leak: {} live entries vs {} decoded − {} consumed",
-        dec.entry_ids.live(),
-        dec.next,
-        main.consumed,
-    );
 
     // Sources still parked at the end: the scan would have re-stalled
     // them in every executed cycle after they parked — settle the
@@ -925,10 +932,10 @@ pub(super) fn execute(
 }
 
 /// The decode step: pull every pair (or multicast `(root, group)`)
-/// whose offer cycle has arrived, append it to its source's pending
-/// FIFO, and stage newly nonempty sources for listing with their
-/// inject owner (one scratch lock per worker per cycle, while the
-/// workers idle at the cycle barrier).
+/// whose offer cycle has arrived, claim its packet record, append it
+/// to its source's pending FIFO, and stage newly nonempty sources for
+/// listing with their inject owner (one scratch lock per worker per
+/// cycle, while the workers idle at the cycle barrier).
 fn decode(
     shared: &SharedRun,
     main: &MainState,
@@ -943,26 +950,37 @@ fn decode(
     let offer_cycle =
         |i: usize| (((i + 1) as f64 / offered_per_cycle).ceil() as u64).saturating_sub(1);
     // ORDERING: Relaxed — decode runs on the main thread while every
-    // worker idles at the cycle barrier, so the pending-FIFO threading
-    // (src_head/src_tail/entry links) and the listed flags have no
-    // concurrent reader; the barrier the workers pass next is the
-    // synchronizes-with edge that hands the writes to the inject
-    // phase, and the scratch mutex hands over `newly_listed`.
+    // worker idles at the cycle barrier, so the record fields, the
+    // pending-FIFO threading (src_head/src_tail/record links) and the
+    // listed flags have no concurrent reader; the barrier the workers
+    // pass next is the synchronizes-with edge that hands the writes to
+    // the inject phase, and the scratch mutex hands over
+    // `newly_listed`.
     let cycle = main.cycle;
+    let n = shared.g.node_count() as u64;
+    let mut allocator = shared.allocator.lock().expect("arena allocator");
     while dec.next < dec.source.len() && offer_cycle(dec.next) <= cycle {
         let (src, dst) = dec.pair(dec.next);
         debug_assert!(
-            src < shared.g.node_count() as u64,
+            src < n,
             "`execute` checks every source before the run starts"
         );
-        let entry = dec.entry_ids.claim();
-        shared.entries.init(entry, dst, offer_cycle(dec.next));
+        // A multicast entry's `dst` is its group index. A unicast
+        // destination off the fabric is stored as NONE (the slab is
+        // u32) and drops as unroutable at injection.
+        let dst = if shared.trees.is_some() || dst < n {
+            dst as u32
+        } else {
+            NONE
+        };
+        let entry = allocator.claim();
+        shared.arena.init(entry, dst, offer_cycle(dec.next), 0);
         let s = src as usize;
         let tail = shared.src_tail[s].load(Relaxed);
         if tail == NONE {
             shared.src_head[s].store(entry, Relaxed);
         } else {
-            shared.entries.link(tail).store(entry, Relaxed);
+            shared.arena.link(tail).store(entry, Relaxed);
         }
         shared.src_tail[s].store(entry, Relaxed);
         if shared.src_listed[s].load(Relaxed) == 0 {
@@ -1053,7 +1071,7 @@ fn refresh_snapshot(shared: &SharedRun, ws: &mut WorkerScratch) {
 /// cycle.
 fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: u64) -> bool {
     // ORDERING: Relaxed — everything here is owned by this worker for
-    // the phase: the source's pending FIFO and injection cache are
+    // the phase: the source's pending FIFO and its records are
     // sharded by source node; the queue-length probe reads occupancy
     // that only moves at phase boundaries (drain pops commit in
     // apply); the channels pushed are this source's own out-arcs; and
@@ -1093,26 +1111,28 @@ fn inject_heads(
         if entry == NONE {
             return false;
         }
+        // Read the FIFO link first: an admitted pair joins its channel
+        // as this same record, and the push rewrites its link.
+        let next = shared.arena.link(entry).load(Relaxed);
         match step(ws, entry) {
             Head::Left => {
-                consume_entry(shared, ws, src, entry);
+                shared.src_head[src].store(next, Relaxed);
+                if next == NONE {
+                    shared.src_tail[src].store(NONE, Relaxed);
+                }
                 ws.stats.consumed += 1;
                 ws.stats.activity += 1;
             }
             Head::Blocked(chan) => {
                 // This source stalls; the others go on. With a
                 // stateless router the blocking channel is fixed, so
-                // park the source until that channel commits a pop
-                // instead of re-scanning it every cycle (the skipped
-                // stalls are settled at wake time). Only this source
-                // can park on its own out-arc channel, so the waiter
-                // list has one writer.
+                // park the source on it until it commits a pop instead
+                // of re-scanning it every cycle (the skipped stalls
+                // are settled at wake time).
                 ws.stats.source_stalls += 1;
                 if shared.stateless {
                     shared.source_parked_at[src].store(cycle, Relaxed);
-                    let first = shared.source_waiter_head[chan].load(Relaxed);
-                    shared.source_waiter_link[src].store(first, Relaxed);
-                    shared.source_waiter_head[chan].store(src as u32, Relaxed);
+                    park(shared, chan, shared.parked.len() + src);
                     return false;
                 }
                 return true;
@@ -1121,10 +1141,22 @@ fn inject_heads(
     }
 }
 
+/// Push `waiter` — a channel, or `channels + src` for a source — onto
+/// `blocker`'s waiter list. The caller owns `blocker`'s source node
+/// for the phase, which is what makes the list single-writer.
+fn park(shared: &SharedRun, blocker: usize, waiter: usize) {
+    // ORDERING: Relaxed — single-writer list words (see above); the
+    // apply step reads them behind the drain→apply barrier.
+    let first = shared.waiter_head[blocker].load(Relaxed);
+    shared.waiter_link[waiter].store(first, Relaxed);
+    shared.waiter_head[blocker].store(waiter as u32, Relaxed);
+}
+
 /// Offer the unicast pair `entry` at the head of `src`'s queue: deliver
 /// a self-pair at the source, drop an unroutable one, admit it onto
 /// its first-hop channel when that has room, else drop it (tail-drop)
-/// or block on the full channel (backpressure).
+/// or block on the full channel (backpressure). A pair that leaves
+/// without entering the fabric retires its record.
 #[inline]
 fn inject_pair(
     shared: &SharedRun,
@@ -1134,8 +1166,10 @@ fn inject_pair(
     cycle: u64,
 ) -> Head {
     // ORDERING: Relaxed — see `inject_source`.
-    let dst = shared.entries.dst(entry).load(Relaxed);
-    let offered = shared.entries.offered(entry).load(Relaxed);
+    let dst = shared.arena.dst(entry).load(Relaxed);
+    let off_fabric = dst == NONE;
+    let dst = u64::from(dst);
+    let offered = shared.arena.offered(entry).load(Relaxed);
     let class = usize::from(shared.hot_dst == Some(dst));
     if src as u64 == dst {
         // Delivered without entering the network (any source-stall
@@ -1149,23 +1183,24 @@ fn inject_pair(
         if shared.classified {
             ws.class_waits[class].push(wait);
         }
+        ws.freed.push(entry);
         return Head::Left;
     }
-    // An off-fabric destination is unroutable by definition — dropped
-    // here, before any router can be asked about a node that does not
-    // exist (dense tables index out of bounds, compressed ones would
-    // have to invent answers).
-    let arc = if dst >= shared.g.node_count() as u64 {
+    // An off-fabric destination (NONE since decode) is unroutable by
+    // definition — dropped here, before any router can be asked about
+    // a node that does not exist (dense tables index out of bounds,
+    // compressed ones would have to invent answers).
+    let cached = shared.arena.cached_next(entry).load(Relaxed);
+    let arc = if off_fabric {
         None
-    } else if shared.stateless && shared.inject_cached_entry[src].load(Relaxed) == entry {
-        Some(shared.inject_cached_arc[src].load(Relaxed) as usize)
+    } else if shared.stateless && cached != NONE {
+        Some(cached as usize)
     } else {
         let computed = shared
             .route_query(&ws.snapshot, src as u64, dst, 0)
             .and_then(|next| arc_of(shared.g, src as u64, next));
         if let (true, Some(found)) = (shared.stateless, computed) {
-            shared.inject_cached_entry[src].store(entry, Relaxed);
-            shared.inject_cached_arc[src].store(found as u32, Relaxed);
+            shared.arena.cached_next(entry).store(found as u32, Relaxed);
         }
         computed
     };
@@ -1177,14 +1212,13 @@ fn inject_pair(
     let arc = match arc {
         Some(found) if shared.arc_dead(found) => {
             note_dead_demand(shared, found as u32, cycle);
-            shared.inject_cached_entry[src].store(NONE, Relaxed);
+            shared.arena.cached_next(entry).store(NONE, Relaxed);
             let fresh = shared
                 .route_query(&ws.snapshot, src as u64, dst, 0)
                 .and_then(|next| arc_of(shared.g, src as u64, next))
                 .filter(|&fresh| !shared.arc_dead(fresh));
             if let (true, Some(found)) = (shared.stateless, fresh) {
-                shared.inject_cached_entry[src].store(entry, Relaxed);
-                shared.inject_cached_arc[src].store(found as u32, Relaxed);
+                shared.arena.cached_next(entry).store(found as u32, Relaxed);
             }
             fresh
         }
@@ -1196,6 +1230,7 @@ fn inject_pair(
         ws.stats.dropped_unroutable += 1;
         ws.stats.class_injected[class] += 1;
         ws.stats.class_dropped[class] += 1;
+        ws.freed.push(entry);
         return Head::Left;
     };
     // A packet starts at class 0 and, like any other hop, is promoted
@@ -1208,9 +1243,11 @@ fn inject_pair(
         if vc0 > 0 {
             ws.stats.promotions += 1;
         }
-        let id = claim_id(shared, ws);
-        shared.arena.init(id, dst as u32, offered, vc0);
-        push_packet(shared, chan, id, cycle);
+        // The pending record enters the fabric as itself: set its
+        // class, and clear the cached first hop for the next node.
+        shared.arena.vc(entry).store(u32::from(vc0), Relaxed);
+        shared.arena.cached_next(entry).store(NONE, Relaxed);
+        push_packet(shared, chan, entry, cycle);
         ws.stats.injected += 1;
         ws.stats.entered += 1;
         ws.stats.entered_copies += 1;
@@ -1223,6 +1260,7 @@ fn inject_pair(
             ws.stats.dropped_full += 1;
             ws.stats.class_injected[class] += 1;
             ws.stats.class_dropped[class] += 1;
+            ws.freed.push(entry);
             Head::Left
         }
         ContentionPolicy::Backpressure => Head::Blocked(chan),
@@ -1235,7 +1273,7 @@ fn inject_pair(
 /// tail-drop a full child drops with its whole subtree weight and the
 /// rest inject. Root self-requests deliver at the source and
 /// unroutable leaves drop here, so an injected group accounts for
-/// every one of its leaves.
+/// every one of its leaves, and its record retires.
 fn inject_group(
     shared: &SharedRun,
     trees: &TreeSet,
@@ -1244,8 +1282,8 @@ fn inject_group(
     cycle: u64,
 ) -> Head {
     // ORDERING: Relaxed — see `inject_source`.
-    let group = shared.entries.dst(entry).load(Relaxed) as usize;
-    let offered = shared.entries.offered(entry).load(Relaxed);
+    let group = shared.arena.dst(entry).load(Relaxed) as usize;
+    let offered = shared.arena.offered(entry).load(Relaxed);
     let roots = trees.group_root_arcs(group);
     let root_chan = |t: u32| {
         let arc = trees.fabric_arc(t);
@@ -1289,29 +1327,14 @@ fn inject_group(
             ws.stats.dropped_full += trees.weight(t) as usize;
         }
     }
+    ws.freed.push(entry);
     Head::Left
 }
 
-/// Unlink a source's pending head, recycle it at the next apply, and
-/// invalidate the injection cache (entry ids recycle — a stale key
-/// could alias a future entry).
-fn consume_entry(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, entry: u32) {
-    // ORDERING: Relaxed — the source's pending FIFO words are owned
-    // by the calling inject worker (sources shard by node); decode's
-    // writes to them were published by the preceding phase barrier.
-    let next = shared.entries.link(entry).load(Relaxed);
-    shared.src_head[src].store(next, Relaxed);
-    if next == NONE {
-        shared.src_tail[src].store(NONE, Relaxed);
-    }
-    shared.inject_cached_entry[src].store(NONE, Relaxed);
-    ws.freed_entries.push(entry);
-}
-
-/// A packet id from the worker's pool, refilled in batches — one
-/// allocator lock per [`ID_BATCH`] claims. The pool headroom in the
-/// allocator's capacity guarantees a refill never comes back empty
-/// while the workload bound holds.
+/// A multicast copy's id from the worker's pool, refilled in batches —
+/// one allocator lock per [`ID_BATCH`] claims. The pool headroom in
+/// the allocator's capacity guarantees a refill never comes back
+/// empty while the workload bound holds.
 fn claim_id(shared: &SharedRun, ws: &mut WorkerScratch) -> u32 {
     if let Some(id) = ws.ids.pop() {
         return id;
@@ -1548,9 +1571,7 @@ fn drain_arc(
                     ws.vc_blocked[vc] = true;
                     if shared.stateless {
                         shared.parked[chan].store(1, Relaxed);
-                        let first = shared.waiter_head[blocker].load(Relaxed);
-                        shared.waiter_link[chan].store(first, Relaxed);
-                        shared.waiter_head[blocker].store(chan as u32, Relaxed);
+                        park(shared, blocker, chan);
                         parked_here += 1;
                     }
                 }
@@ -2011,53 +2032,79 @@ fn drop_stranded(
 /// one specific blocker's pop, but a capacity crossing can unblock —
 /// or invalidate — *any* parked decision once routing repairs around
 /// it. Rare (once per event batch with a crossing), O(channels +
-/// nodes), and deterministic: it runs on the sequential slot, and
+/// waiters), and deterministic: it runs on the sequential slot, and
 /// whatever should stay blocked simply re-parks from scratch next
-/// phase.
+/// phase. Every waiter list is emptied, so no stale entry survives to
+/// wake its waiter a second time at a future pop.
 fn wake_all(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerScratch>]) -> usize {
-    // ORDERING: Relaxed — sequential slot; see `apply_dynamics`.
-    let mut woken = 0usize;
-    // Clear every waiter list first: once a parked flag is cleared
-    // and the channel re-activated, a stale list entry surviving to a
-    // future pop would activate it a second time and corrupt the
-    // ready counts.
-    let channels = shared.queues.head.len();
-    for chan in 0..channels {
-        shared.waiter_head[chan].store(NONE, Relaxed);
-        shared.source_waiter_head[chan].store(NONE, Relaxed);
-    }
-    for chan in 0..channels {
-        if shared.parked[chan].load(Relaxed) != 0 {
-            shared.parked[chan].store(0, Relaxed);
-            shared.waiter_link[chan].store(NONE, Relaxed);
-            activate(shared, chan);
+    // This slot runs before the current cycle's inject phase re-scans
+    // the woken sources, so their skipped scans end at the previous
+    // cycle. (Nothing parks before cycle 0's inject phase, so the
+    // saturation at cycle 0 never settles anything.)
+    let skipped_through = main.cycle.saturating_sub(1);
+    let woken = (0..shared.waiter_head.len())
+        .map(|blocker| wake_waiters(shared, main, blocker, skipped_through))
+        .sum();
+    relist_woken(shared, main, scratches);
+    woken
+}
+
+/// Empty `blocker`'s waiter list, waking every waiter on it: a parked
+/// channel rejoins the ready set; a parked source settles one stall
+/// per inject scan it skipped — its parking cycle's scan counted
+/// itself, so through `skipped_through` — and queues in
+/// `main.woken` for relisting. Returns the waiters woken. A channel
+/// stranded since it parked (its flag already cleared) has nothing
+/// left to wake.
+fn wake_waiters(
+    shared: &SharedRun,
+    main: &mut MainState,
+    blocker: usize,
+    skipped_through: u64,
+) -> usize {
+    // ORDERING: Relaxed — sequential slots only (apply and the
+    // dynamics slot), with every worker idle at the cycle barrier.
+    let channels = shared.parked.len();
+    let mut woken = 0;
+    let mut waiter = shared.waiter_head[blocker].load(Relaxed);
+    shared.waiter_head[blocker].store(NONE, Relaxed);
+    while waiter != NONE {
+        let slot = waiter as usize;
+        waiter = shared.waiter_link[slot].load(Relaxed);
+        if slot < channels {
+            if shared.parked[slot].load(Relaxed) != 0 {
+                shared.parked[slot].store(0, Relaxed);
+                activate(shared, slot);
+                woken += 1;
+            }
+        } else {
+            let src = slot - channels;
+            let parked_at = shared.source_parked_at[src].load(Relaxed);
+            main.source_stall_cycles += skipped_through - parked_at;
+            shared.source_parked_at[src].store(u64::MAX, Relaxed);
+            main.woken.push(src as u32);
             woken += 1;
         }
     }
-    for src in 0..shared.g.node_count() {
-        let parked_at = shared.source_parked_at[src].load(Relaxed);
-        if parked_at == u64::MAX {
-            continue;
-        }
-        // The cycles the scan skipped would each have counted one
-        // stall. This slot runs before the current cycle's inject
-        // phase re-scans the source, so the skipped scans end at the
-        // previous cycle (the pop-driven wake in `apply` runs after
-        // its cycle's scan and settles through it).
-        main.source_stall_cycles += main.cycle - 1 - parked_at;
-        shared.source_parked_at[src].store(u64::MAX, Relaxed);
-        shared.source_waiter_link[src].store(NONE, Relaxed);
+    woken
+}
+
+/// Relist the sources in `main.woken` that still have entries pending
+/// with their inject owners.
+fn relist_woken(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerScratch>]) {
+    // ORDERING: Relaxed — sequential slots only; the next barrier
+    // publishes the listing to the inject phase.
+    for woken in main.woken.drain(..) {
+        let src = woken as usize;
         if shared.src_listed[src].load(Relaxed) == 0 && shared.src_head[src].load(Relaxed) != NONE {
             shared.src_listed[src].store(1, Relaxed);
             scratches[shared.list_owner(src)]
                 .lock()
-                .expect("wake scratch")
+                .expect("relist scratch")
                 .sources
-                .push(src as u32);
+                .push(woken);
         }
-        woken += 1;
     }
-    woken
 }
 
 /// Re-place the stranded backlog (the `Reinject` policy): each packet
@@ -2124,17 +2171,12 @@ fn place_stranded(shared: &SharedRun, main: &mut MainState) -> usize {
 
 /// The apply step: commit pops, wake parked channels and sources,
 /// retire emptied nodes from the worklist, merge stats, recycle
-/// departures and consumed entries, land staged arrivals, then relist
-/// woken sources with their inject owners. Per-channel arrival order
+/// retired records, land staged arrivals, then relist woken sources
+/// with their inject owners. Per-channel arrival order
 /// is the staging worker's drain order (every channel has exactly one
 /// staging node), so the outcome is independent of the worker layout;
 /// waits fold into histograms, so merge order is unobservable too.
-fn apply(
-    shared: &SharedRun,
-    main: &mut MainState,
-    dec: &mut Decoder,
-    scratches: &[Mutex<WorkerScratch>],
-) -> usize {
+fn apply(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerScratch>]) -> usize {
     // ORDERING: Relaxed — apply runs on the main thread alone (the
     // workers idle at the cycle barrier), so pop commits, waiter-list
     // wakes, staged-arrival pushes, and relists are sequential; the
@@ -2160,33 +2202,12 @@ fn apply(
             let len = shared.queues.len[chan].load(Relaxed) - count;
             shared.queues.len[chan].store(len, Relaxed);
             // A committed pop is the one event that can give this
-            // channel's upstream blockers room: wake every channel —
-            // and every injection source — parked on it. (A waiter
-            // that finds the FIFO full again, refilled by this
-            // cycle's staged arrivals, simply re-parks on its next
-            // attempt.)
-            let mut waiter = shared.waiter_head[chan].load(Relaxed);
-            shared.waiter_head[chan].store(NONE, Relaxed);
-            while waiter != NONE {
-                let next = shared.waiter_link[waiter as usize].load(Relaxed);
-                shared.parked[waiter as usize].store(0, Relaxed);
-                activate(shared, waiter as usize);
-                waiter = next;
-            }
-            let mut source = shared.source_waiter_head[chan].load(Relaxed);
-            shared.source_waiter_head[chan].store(NONE, Relaxed);
-            while source != NONE {
-                let slot = source as usize;
-                // The cycles the scan skipped would each have counted
-                // one stall: settle them now.
-                let parked_at = shared.source_parked_at[slot].load(Relaxed);
-                main.source_stall_cycles += main.cycle - parked_at;
-                shared.source_parked_at[slot].store(u64::MAX, Relaxed);
-                main.woken.push(source);
-                let next = shared.source_waiter_link[slot].load(Relaxed);
-                shared.source_waiter_link[slot].store(NONE, Relaxed);
-                source = next;
-            }
+            // channel's upstream blockers room: wake every channel and
+            // injection source parked on it. (A waiter that finds the
+            // FIFO full again, refilled by this cycle's staged
+            // arrivals, simply re-parks on its next attempt.) This
+            // cycle's inject phase already scanned the sources.
+            wake_waiters(shared, main, chan, main.cycle);
         }
         ws.pops.clear();
         for &node in &ws.emptied {
@@ -2231,7 +2252,6 @@ fn apply(
             ws.class_waits[class].clear();
         }
         allocator.release_all(ws.freed.drain(..));
-        dec.entry_ids.release_all(ws.freed_entries.drain(..));
     }
     main.in_network += entered;
     main.in_network -= departed;
@@ -2272,17 +2292,7 @@ fn apply(
     }
     // Woken sources with entries still pending rejoin their owner's
     // inject list.
-    for woken in main.woken.drain(..) {
-        let src = woken as usize;
-        if shared.src_listed[src].load(Relaxed) == 0 && shared.src_head[src].load(Relaxed) != NONE {
-            shared.src_listed[src].store(1, Relaxed);
-            scratches[shared.list_owner(src)]
-                .lock()
-                .expect("relist scratch")
-                .sources
-                .push(woken);
-        }
-    }
+    relist_woken(shared, main, scratches);
     activity
 }
 
