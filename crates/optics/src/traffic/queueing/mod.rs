@@ -1491,64 +1491,4 @@ mod tests {
         assert!(calm.source_stall_cycles > 0, "{calm:?}");
         assert_eq!(faded.source_stall_cycles, calm.source_stall_cycles);
     }
-
-    #[test]
-    fn hop_cache_matches_fresh_queries() {
-        // A stateless router with a query counter: the cached engine
-        // must answer identically to an uncachable twin while asking
-        // the router far less under backpressure (blocked heads re-ask
-        // every cycle without the cache).
-        use std::sync::atomic::AtomicUsize;
-        struct Counting<R: Router> {
-            inner: R,
-            queries: AtomicUsize,
-            stateless: bool,
-        }
-        impl<R: Router> Router for Counting<R> {
-            fn node_count(&self) -> u64 {
-                self.inner.node_count()
-            }
-            fn name(&self) -> String {
-                self.inner.name()
-            }
-            fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
-                self.queries.fetch_add(1, Ordering::Relaxed);
-                self.inner.next_hop(current, dst)
-            }
-            fn hops_are_stateless(&self) -> bool {
-                self.stateless
-            }
-        }
-        let workload: Vec<(u64, u64)> = (0..300).map(|i| (i % 8, (i + 5) % 8)).collect();
-        let run_with = |stateless: bool| {
-            let g = cycle(8);
-            let router = Counting {
-                inner: RoutingTable::new(&g),
-                queries: AtomicUsize::new(0),
-                stateless,
-            };
-            // Two dateline classes keep the saturated backpressure run
-            // lossless (vcs = 1 would wedge in a few cycles and leave
-            // nothing to cache).
-            let engine = QueueingEngine::new(
-                g,
-                QueueConfig {
-                    vcs: 2,
-                    ..config(2, 1, ContentionPolicy::Backpressure)
-                },
-            );
-            let report = engine.run(&router, &workload, 8.0);
-            (
-                serde_json::to_string(&report).expect("serializes"),
-                router.queries.load(Ordering::Relaxed),
-            )
-        };
-        let (cached_report, cached_queries) = run_with(true);
-        let (fresh_report, fresh_queries) = run_with(false);
-        assert_eq!(cached_report, fresh_report, "caching changed the physics");
-        assert!(
-            cached_queries * 2 < fresh_queries,
-            "cache saved too little: {cached_queries} vs {fresh_queries} queries"
-        );
-    }
 }

@@ -19,6 +19,7 @@ use otis_optics::{
     ContentionPolicy, HDigraph, QueueConfig, QueueingEngine, StrandedPolicy, WorkloadSource,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The fault-aware router: the repairable table over the full fabric
 /// with `faults`' beams dead.
@@ -1803,4 +1804,123 @@ fn adaptive_over_dynamics_conserves_and_sees_fade_penalty() {
     // The partial fade is a capacity event but not a death.
     assert_eq!(report.link_down_events, 4);
     assert!(report.capacity_events >= 6);
+}
+
+/// An oblivious router that counts its next-hop queries and declares
+/// its hops stateless or not. The non-stateless twin turns off every
+/// shortcut the engine takes for pure hops: the per-record hop cache,
+/// parked channels and sources, and sharded injection.
+struct Counting<R: Router> {
+    inner: R,
+    queries: AtomicUsize,
+    stateless: bool,
+}
+
+impl<R: Router> Router for Counting<R> {
+    fn node_count(&self) -> u64 {
+        self.inner.node_count()
+    }
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.inner.next_hop(current, dst)
+    }
+
+    fn ranked_candidates(&self, current: u64, dst: u64) -> RankedCandidates {
+        self.inner.ranked_candidates(current, dst)
+    }
+
+    fn distance(&self, src: u64, dst: u64) -> Option<u64> {
+        self.inner.distance(src, dst)
+    }
+
+    fn hops_are_stateless(&self) -> bool {
+        self.stateless
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Hop caching and parking are pure performance features: on
+    /// contended backpressure runs, static or under a link timeline, a
+    /// stateless oblivious router and its non-stateless twin must
+    /// serialize identical reports, and the cached run must save at
+    /// least one query per source stall cycle. Repairing routers stay
+    /// out: by design a cached hop that is still alive survives a
+    /// repair, so their twins may honestly differ.
+    #[test]
+    fn hop_caches_and_parking_are_unobservable(
+        dim in 3u32..7,
+        dense in any::<bool>(),
+        hotspot in any::<bool>(),
+        vcs in 1usize..3,
+        buffers_log in 0u32..3,
+        threads in 1usize..3,
+        timeline in 0usize..4,
+        reinject in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let b = DeBruijn::new(2, dim);
+        let n = b.node_count();
+        let g = b.digraph();
+        let pattern = if hotspot { TrafficPattern::Hotspot } else { TrafficPattern::Uniform };
+        let source = WorkloadSource::new(pattern, n, 2, 24 * n as usize, seed);
+        // The fade takes a beam of the hot node's in-tree.
+        let spec = match timeline {
+            0 => None,
+            1 => Some(format!("fade@5:{}>{}:0:30", n / 4, n / 2)),
+            2 => Some("storm@8:1-2:25".to_string()),
+            _ => Some(format!("randfades@{seed}:4:60:30")),
+        };
+        let run = |stateless: bool| {
+            let config = QueueConfig {
+                buffers: 1 << buffers_log,
+                wavelengths: 1,
+                vcs,
+                policy: ContentionPolicy::Backpressure,
+                hop_limit: None,
+                drain_threads: threads,
+                max_cycles: 20_000,
+            };
+            let mut engine = QueueingEngine::new(g.clone(), config);
+            if let Some(spec) = &spec {
+                let stranded = if reinject { StrandedPolicy::Reinject } else { StrandedPolicy::Drop };
+                arm(&mut engine, spec, stranded);
+            }
+            let (offered, hot) = (0.5 * n as f64, pattern.hot_node(n));
+            let queries = AtomicUsize::new(0);
+            if dense {
+                let router = Counting { inner: RoutingTable::new(&g), queries, stateless };
+                let report = engine.run_streamed_classified(&router, &source, offered, hot);
+                (report, router.queries.into_inner())
+            } else {
+                let router = Counting { inner: DeBruijnRouter::new(b), queries, stateless };
+                let report = engine.run_streamed_classified(&router, &source, offered, hot);
+                (report, router.queries.into_inner())
+            }
+        };
+        let (cached, cached_queries) = run(true);
+        let (fresh, fresh_queries) = run(false);
+        prop_assert_eq!(
+            serde_json::to_string(&cached).expect("serializes"),
+            serde_json::to_string(&fresh).expect("serializes"),
+            "caching or parking changed the physics"
+        );
+        // Without parking, a stalled source re-asks for its head's
+        // first hop every cycle; with it, each of those cycles is
+        // settled without a query. Blocked channel heads only widen
+        // the gap.
+        prop_assert!(
+            cached_queries + cached.source_stall_cycles as usize <= fresh_queries,
+            "cache saved too little: {} queries + {} stall cycles vs {} queries",
+            cached_queries,
+            cached.source_stall_cycles,
+            fresh_queries
+        );
+    }
 }
