@@ -1190,42 +1190,15 @@ fn inject_pair(
     // definition — dropped here, before any router can be asked about
     // a node that does not exist (dense tables index out of bounds,
     // compressed ones would have to invent answers).
-    let cached = shared.arena.cached_next(entry).load(Relaxed);
-    let arc = if off_fabric {
-        None
-    } else if shared.stateless && cached != NONE {
-        Some(cached as usize)
+    let hop = if off_fabric {
+        Hop::NoRoute
     } else {
-        let computed = shared
-            .route_query(&ws.snapshot, src as u64, dst, 0)
-            .and_then(|next| arc_of(shared.g, src as u64, next));
-        if let (true, Some(found)) = (shared.stateless, computed) {
-            shared.arena.cached_next(entry).store(found as u32, Relaxed);
-        }
-        computed
+        route_record(shared, ws, entry, src as u64, dst, 0, cycle)
     };
-    // Dead-target requery at the injection port: a cached (or fresh)
-    // first hop onto a beam that has since faded to zero is re-asked
-    // against the repaired routing; a router still answering the dead
-    // beam makes the packet unroutable here — it never entered the
-    // fabric, so there is nothing to strand.
-    let arc = match arc {
-        Some(found) if shared.arc_dead(found) => {
-            note_dead_demand(shared, found as u32, cycle);
-            shared.arena.cached_next(entry).store(NONE, Relaxed);
-            let fresh = shared
-                .route_query(&ws.snapshot, src as u64, dst, 0)
-                .and_then(|next| arc_of(shared.g, src as u64, next))
-                .filter(|&fresh| !shared.arc_dead(fresh));
-            if let (true, Some(found)) = (shared.stateless, fresh) {
-                shared.arena.cached_next(entry).store(found as u32, Relaxed);
-            }
-            fresh
-        }
-        other => other,
-    };
-    let Some(arc) = arc else {
-        // No route (or the router proposed a non-neighbor).
+    let Hop::Arc(arc) = hop else {
+        // No route, or a router still answering a dead beam: the
+        // packet never entered the fabric, so there is nothing to
+        // strand.
         ws.stats.injected += 1;
         ws.stats.dropped_unroutable += 1;
         ws.stats.class_injected[class] += 1;
@@ -1603,6 +1576,73 @@ fn drain_arc(
     }
 }
 
+/// Where a routing decision for a packet record landed.
+enum Hop {
+    /// A live out-arc of the record's node.
+    Arc(usize),
+    /// No route, or the router proposed a non-neighbor.
+    NoRoute,
+    /// Every answer rides a dead beam, even after a requery.
+    Dead,
+}
+
+/// The next arc for record `id` at `node` toward `dst` on class `vc` —
+/// a channel head's next hop, or a pending entry's first hop from its
+/// source. A stateless router answers identically every cycle the
+/// record stays put, so its answer is cached in the record and asked
+/// once. Dead-target requery: a cached (or freshly proposed) hop onto
+/// a beam that has since faded to zero is re-asked once against the
+/// now-repaired routing.
+#[inline]
+fn route_record(
+    shared: &SharedRun,
+    ws: &WorkerScratch,
+    id: u32,
+    node: u64,
+    dst: u64,
+    vc: u8,
+    cycle: u64,
+) -> Hop {
+    // ORDERING: Relaxed — the calling worker owns the record for the
+    // phase (see `inject_source` and `drain_arc`).
+    let query = || {
+        shared
+            .route_query(&ws.snapshot, node, dst, vc)
+            .and_then(|next| arc_of(shared.g, node, next))
+    };
+    let cached = if shared.stateless {
+        shared.arena.cached_next(id).load(Relaxed)
+    } else {
+        NONE
+    };
+    let arc = if cached != NONE {
+        Some(cached as usize)
+    } else {
+        let computed = query();
+        if let (true, Some(found)) = (shared.stateless, computed) {
+            shared.arena.cached_next(id).store(found as u32, Relaxed);
+        }
+        computed
+    };
+    match arc {
+        None => Hop::NoRoute,
+        Some(found) if !shared.arc_dead(found) => Hop::Arc(found),
+        Some(found) => {
+            note_dead_demand(shared, found as u32, cycle);
+            shared.arena.cached_next(id).store(NONE, Relaxed);
+            match query().filter(|&fresh| !shared.arc_dead(fresh)) {
+                Some(fresh) => {
+                    if shared.stateless {
+                        shared.arena.cached_next(id).store(fresh as u32, Relaxed);
+                    }
+                    Hop::Arc(fresh)
+                }
+                None => Hop::Dead,
+            }
+        }
+    }
+}
+
 /// The unicast drain step: deliver a packet at its destination, retire
 /// one past its hop budget, else route it one hop — re-querying once
 /// when the chosen beam is dead — and move it when the next channel
@@ -1653,60 +1693,25 @@ fn unicast_step(
         return Head::Left;
     }
     let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
-    // Stateless routers answer this identically every cycle the head
-    // stays blocked — cache the arc in the packet.
-    let next_arc = if shared.stateless {
-        let cached = shared.arena.cached_next(head).load(Relaxed);
-        if cached != NONE {
-            Some(cached as usize)
-        } else {
-            let computed = shared
-                .route_query(&ws.snapshot, node, dst as u64, packet_vc)
-                .and_then(|next| arc_of(shared.g, node, next));
-            if let Some(found) = computed {
-                shared.arena.cached_next(head).store(found as u32, Relaxed);
-            }
-            computed
+    let next_arc = match route_record(shared, ws, head, node, dst as u64, packet_vc, cycle) {
+        Hop::Arc(arc) => arc,
+        // A router that still insists on a dead beam strands the head
+        // — it is pulled out of the fabric and resolved per the
+        // stranded policy at apply, instead of wedging the class
+        // forever behind a link that may never come back.
+        Hop::Dead => {
+            shared.arena.hops(head).store(hops_after, Relaxed);
+            ws.stranded.push((chan as u32, head));
+            return Head::Left;
         }
-    } else {
-        shared
-            .router
-            .next_hop_on_vc(node, dst as u64, packet_vc)
-            .and_then(|next| arc_of(shared.g, node, next))
-    };
-    // Dead-target requery: a cached (or freshly proposed) hop onto a
-    // beam that has since faded to zero is re-asked once against the
-    // now-repaired routing. A router that still insists on the dead
-    // beam strands the head — it is pulled out of the fabric and
-    // resolved per the stranded policy at apply, instead of wedging
-    // the class forever behind a link that may never come back.
-    let next_arc = match next_arc {
-        Some(found) if shared.arc_dead(found) => {
-            note_dead_demand(shared, found as u32, cycle);
-            shared.arena.cached_next(head).store(NONE, Relaxed);
-            let fresh = shared
-                .route_query(&ws.snapshot, node, dst as u64, packet_vc)
-                .and_then(|next| arc_of(shared.g, node, next))
-                .filter(|&fresh| !shared.arc_dead(fresh));
-            let Some(fresh) = fresh else {
-                shared.arena.hops(head).store(hops_after, Relaxed);
-                ws.stranded.push((chan as u32, head));
-                return Head::Left;
-            };
-            if shared.stateless {
-                shared.arena.cached_next(head).store(fresh as u32, Relaxed);
-            }
-            Some(fresh)
+        Hop::NoRoute => {
+            ws.freed.push(head);
+            ws.stats.dropped_unroutable += 1;
+            ws.stats.departed += 1;
+            ws.stats.departed_copies += 1;
+            ws.stats.class_dropped[class] += 1;
+            return Head::Left;
         }
-        other => other,
-    };
-    let Some(next_arc) = next_arc else {
-        ws.freed.push(head);
-        ws.stats.dropped_unroutable += 1;
-        ws.stats.departed += 1;
-        ws.stats.departed_copies += 1;
-        ws.stats.class_dropped[class] += 1;
-        return Head::Left;
     };
     let next_vc = shared.dateline.next_class_arc(packet_vc, next_arc);
     let next_chan = next_arc * shared.vcs + next_vc as usize;
