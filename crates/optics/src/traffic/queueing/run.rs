@@ -45,10 +45,10 @@
 //!    writes belongs to that node's *own* out-arcs, so ownership is
 //!    disjoint by construction — no locks, no CAS loops in the loop.
 //!    Replicated copies take their ids from the worker's own pool,
-//!    as injected root copies do. Shard boundaries are rounded to 64-node
-//!    multiples so workers never share a worklist bitset word, and
-//!    contiguous node ranges keep the de Bruijn arc structure (node
-//!    `v` feeds `dv + c mod n`) cache-local per worker.
+//!    as injected root copies do. Shard boundaries are rounded to
+//!    64-node multiples so workers never share a worklist bitset word,
+//!    and contiguous node ranges keep the de Bruijn arc structure
+//!    (node `v` feeds `dv + c mod n`) cache-local per worker.
 //! 4. **Apply** (sequential): batched pop counts commit, parked
 //!    channels and sources wake, emptied nodes leave the worklist,
 //!    staged arrivals join their FIFOs (per-channel arrival order is
@@ -1590,10 +1590,9 @@ enum Hop {
 /// a channel head's next hop, or a pending entry's first hop from its
 /// source. A stateless router answers identically every cycle the
 /// record stays put, so its answer is cached in the record and asked
-/// once. Dead-target requery: a cached (or freshly proposed) hop onto
-/// a beam that has since faded to zero is re-asked once against the
-/// now-repaired routing.
-#[inline]
+/// once. Always inlined: both callers are per-hop hot paths, and the
+/// cache hit must stay a word load, not a call.
+#[inline(always)]
 fn route_record(
     shared: &SharedRun,
     ws: &WorkerScratch,
@@ -1605,11 +1604,6 @@ fn route_record(
 ) -> Hop {
     // ORDERING: Relaxed — the calling worker owns the record for the
     // phase (see `inject_source` and `drain_arc`).
-    let query = || {
-        shared
-            .route_query(&ws.snapshot, node, dst, vc)
-            .and_then(|next| arc_of(shared.g, node, next))
-    };
     let cached = if shared.stateless {
         shared.arena.cached_next(id).load(Relaxed)
     } else {
@@ -1618,7 +1612,9 @@ fn route_record(
     let arc = if cached != NONE {
         Some(cached as usize)
     } else {
-        let computed = query();
+        let computed = shared
+            .route_query(&ws.snapshot, node, dst, vc)
+            .and_then(|next| arc_of(shared.g, node, next));
         if let (true, Some(found)) = (shared.stateless, computed) {
             shared.arena.cached_next(id).store(found as u32, Relaxed);
         }
@@ -1626,20 +1622,41 @@ fn route_record(
     };
     match arc {
         None => Hop::NoRoute,
-        Some(found) if !shared.arc_dead(found) => Hop::Arc(found),
-        Some(found) => {
+        Some(found) if shared.arc_dead(found) => {
             note_dead_demand(shared, found as u32, cycle);
-            shared.arena.cached_next(id).store(NONE, Relaxed);
-            match query().filter(|&fresh| !shared.arc_dead(fresh)) {
-                Some(fresh) => {
-                    if shared.stateless {
-                        shared.arena.cached_next(id).store(fresh as u32, Relaxed);
-                    }
-                    Hop::Arc(fresh)
-                }
-                None => Hop::Dead,
-            }
+            requery_dead(shared, ws, id, node, dst, vc)
         }
+        Some(found) => Hop::Arc(found),
+    }
+}
+
+/// Dead-target requery: record `id`'s cached (or freshly proposed) hop
+/// rides a beam that has since faded to zero, so drop the cached hop
+/// and re-ask once against the now-repaired routing. Cold: only hops
+/// onto dead beams reach it.
+#[cold]
+fn requery_dead(
+    shared: &SharedRun,
+    ws: &WorkerScratch,
+    id: u32,
+    node: u64,
+    dst: u64,
+    vc: u8,
+) -> Hop {
+    // ORDERING: Relaxed — see `route_record`.
+    shared.arena.cached_next(id).store(NONE, Relaxed);
+    let fresh = shared
+        .route_query(&ws.snapshot, node, dst, vc)
+        .and_then(|next| arc_of(shared.g, node, next))
+        .filter(|&fresh| !shared.arc_dead(fresh));
+    match fresh {
+        Some(fresh) => {
+            if shared.stateless {
+                shared.arena.cached_next(id).store(fresh as u32, Relaxed);
+            }
+            Hop::Arc(fresh)
+        }
+        None => Hop::Dead,
     }
 }
 
@@ -2055,12 +2072,11 @@ fn wake_all(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerS
 }
 
 /// Empty `blocker`'s waiter list, waking every waiter on it: a parked
-/// channel rejoins the ready set; a parked source settles one stall
-/// per inject scan it skipped — its parking cycle's scan counted
-/// itself, so through `skipped_through` — and queues in
-/// `main.woken` for relisting. Returns the waiters woken. A channel
-/// stranded since it parked (its flag already cleared) has nothing
-/// left to wake.
+/// channel rejoins the ready set; a parked source counts one stall for
+/// each inject scan it skipped (every cycle after its parking cycle,
+/// through `skipped_through`) and queues in `main.woken` for
+/// relisting. Returns the waiters woken. A channel stranded since it
+/// parked (its flag already cleared) has nothing left to wake.
 fn wake_waiters(
     shared: &SharedRun,
     main: &mut MainState,
