@@ -37,9 +37,10 @@
 //!
 //! # The hot path (see [`run`] for the full contract)
 //!
-//! Packets live in a structure-of-arrays **arena** — one slab,
-//! free-list recycled `u32` ids, intrusive per-channel FIFOs — so a
-//! cycle touches cache lines, not allocator metadata. The drain phase
+//! Packets live in a structure-of-arrays **arena** — one slab holding
+//! each workload entry from decode to delivery, free-list recycled
+//! `u32` ids, intrusive per-source and per-channel FIFOs — so a cycle
+//! touches cache lines, not allocator metadata. The drain phase
 //! walks an **active-node worklist** (a dense bitset over nodes with
 //! queued inbound traffic) instead of scanning every channel, so idle
 //! fabric regions cost one word load per 64 nodes. With
